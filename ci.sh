@@ -129,5 +129,10 @@ step "bench harness smoke (2 samples)"
 # BENCH_*.json baselines (default dir is the package).
 INCAM_BENCH_SAMPLES=2 INCAM_BENCH_DIR="$tmpdir" cargo bench --offline -p incam-bench -- fa_pipeline
 
+step "benchmark smoke (BENCHMARK.json driver, every workload once)"
+# The benchmark is a stand-alone package outside the workspace, so the
+# build and clippy gates above never compile it; this gate does.
+bash crates/bench/examples/perf/run.sh smoke
+
 timing_summary
 printf '\nAll gates passed.\n'

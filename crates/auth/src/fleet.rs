@@ -29,7 +29,7 @@ use incam_faults::fleet::TracePool;
 use incam_faults::gilbert::GilbertElliott;
 use incam_imaging::faces::{render_face, Identity, Nuisance};
 use incam_rng::rngs::StdRng;
-use incam_rng::SeedableRng;
+use incam_rng::{Digest, SeedableRng};
 
 /// Seed deriving the fleet's shared embedding head, so every camera and
 /// the cloud tier agree on the feature space.
@@ -190,26 +190,20 @@ impl FleetVerifyReport {
     /// FNV-1a digest over the service digest and every per-camera
     /// exact counter.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(self.service.digest());
-        mix(self.genuine.0);
-        mix(self.genuine.1);
-        mix(self.impostor.0);
-        mix(self.impostor.1);
+        let mut h = Digest::new();
+        h.write_u64(self.service.digest());
+        h.write_u64(self.genuine.0);
+        h.write_u64(self.genuine.1);
+        h.write_u64(self.impostor.0);
+        h.write_u64(self.impostor.1);
         for slo in &self.slos {
-            mix(slo.camera);
-            mix(slo.requests);
-            mix(slo.accepts);
-            mix(slo.fallbacks);
-            mix(slo.deadline_hits);
+            h.write_u64(slo.camera);
+            h.write_u64(slo.requests);
+            h.write_u64(slo.accepts);
+            h.write_u64(slo.fallbacks);
+            h.write_u64(slo.deadline_hits);
         }
-        h
+        h.finish()
     }
 
     /// Renders the fleet summary: aggregate counters, SLO distribution,

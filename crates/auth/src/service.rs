@@ -29,6 +29,7 @@ use incam_core::runtime::{ComputeCondition, FaultOracle, RetryPolicy};
 use incam_core::units::{Bytes, Joules, Seconds};
 use incam_fleet::ingest::{Admission, Ingest, IngestConfig};
 use incam_imaging::image::GrayImage;
+use incam_rng::Digest;
 
 /// Pipeline stages between capture and verdict.
 pub const NUM_STAGES: usize = 3;
@@ -315,24 +316,18 @@ impl ServiceReport {
     /// FNV-1a digest over every exact counter (energy excluded: floats
     /// are compared via rendered tables instead).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(self.requests);
-        mix(self.accepts);
-        mix(self.rejects);
+        let mut h = Digest::new();
+        h.write_u64(self.requests);
+        h.write_u64(self.accepts);
+        h.write_u64(self.rejects);
         for f in self.fallbacks {
-            mix(f);
+            h.write_u64(f);
         }
-        mix(self.breaker_trips);
-        mix(self.compute_retries);
-        mix(self.link_retries);
-        mix(self.deadline_hits);
-        h
+        h.write_u64(self.breaker_trips);
+        h.write_u64(self.compute_retries);
+        h.write_u64(self.link_retries);
+        h.write_u64(self.deadline_hits);
+        h.finish()
     }
 
     /// Renders the counters as a two-column table.

@@ -13,7 +13,7 @@
 //! story those counts promise. Results land in `BENCH_explore.json`
 //! (see `INCAM_BENCH_DIR`).
 
-use incam_core::explore::{IncrementalSearch, SearchPlan};
+use incam_core::explore::SearchPlan;
 use incam_core::link::Link;
 use incam_core::units::BytesPerSec;
 use incam_imaging::stages::widened_space;
@@ -42,7 +42,7 @@ fn bench_explore(c: &mut Criterion) {
         })
     });
 
-    let committed = IncrementalSearch::over_space(&space);
+    let committed = SearchPlan::new(&space).frontier().clone();
     group.bench_function("incremental_rerank", |b| {
         b.iter(|| {
             black_box(&committed)

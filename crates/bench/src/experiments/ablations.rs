@@ -248,7 +248,8 @@ pub fn frontier_vs_bandwidth() -> String {
     ]);
     for link in standard_links() {
         let analyses: Vec<_> = space
-            .explore_where(&link, PipelineConfig::paper_coupling)
+            .explore(&link)
+            .filter(|a| PipelineConfig::paper_coupling(&a.config))
             .collect();
         let frontier = pareto_frontier(analyses);
         let labels: Vec<String> = frontier

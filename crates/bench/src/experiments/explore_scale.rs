@@ -135,7 +135,7 @@ pub fn run(_seed: u64, _quick: bool) -> String {
     // 4. incremental link-only re-search under degraded goodput
     out.push_str("== incremental re-search under degraded goodput ==\n");
     let nominal = Link::new("wifi-5M", BytesPerSec::from_bits_per_sec(5e6), 1.0);
-    let incremental = IncrementalSearch::over_space(&space);
+    let incremental: &IncrementalSearch = plan.frontier();
     let mut degrade = Table::new(&["goodput", "winner", "total", "matches from-scratch"]);
     for percent in [100u32, 50, 20, 5, 1] {
         let degraded = nominal.degraded(f64::from(percent) / 100.0);

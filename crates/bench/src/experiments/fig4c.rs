@@ -2,7 +2,7 @@
 //! static step size, adaptive step size) on relative detection accuracy.
 
 use incam_core::block::{Backend, BlockSpec, DataTransform};
-use incam_core::explore::{Binding, BlockSpace, PipelineSpace};
+use incam_core::explore::{first_best, Binding, BlockSpace, ConfigAnalysis, PipelineSpace};
 use incam_core::link::Link;
 use incam_core::pipeline::Source;
 use incam_core::report::{sig3, Table};
@@ -270,9 +270,11 @@ pub fn render_explore(result: &Fig4cResult) -> String {
             if keep(&analysis.config) { "yes" } else { "no" }.to_string(),
         ]);
     }
-    let best = space
-        .best_where(&link, keep)
-        .expect("the raw-offload configuration is always admissible"); // incam-lint: allow(fallible-unwrap) — `keep` admits the raw-offload cut, so the space is never empty
+    let best = first_best(
+        space.explore(&link).filter(|a| keep(&a.config)),
+        ConfigAnalysis::total,
+    )
+    .expect("the raw-offload configuration is always admissible"); // incam-lint: allow(fallible-unwrap) — `keep` admits the raw-offload cut, so the space is never empty
     format!(
         "-- configuration space (scale-factor bindings x offload cut, {} uplink) --\n{}\
          best admissible configuration: {} at {} FPS\n",

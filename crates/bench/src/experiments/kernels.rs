@@ -22,50 +22,12 @@ use incam_nn::mlp::Mlp;
 use incam_nn::sigmoid::Sigmoid;
 use incam_nn::topology::Topology;
 use incam_rng::rngs::StdRng;
-use incam_rng::{Rng, SeedableRng};
+use incam_rng::{Digest, Rng, SeedableRng};
 use incam_viola::cascade::{Cascade, Stage};
 use incam_viola::feature::{HaarFeature, HaarKind};
 use incam_viola::scan::{scan, scan_reference, ScanParams, StepSize};
 use incam_viola::weak::WeakClassifier;
 use std::fmt::Write;
-
-/// Order-sensitive FNV-1a over a little-endian byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn mix(&mut self, byte: u8) {
-        self.0 ^= u64::from(byte);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-
-    fn f32s(&mut self, values: &[f32]) {
-        for v in values {
-            for b in v.to_bits().to_le_bytes() {
-                self.mix(b);
-            }
-        }
-    }
-
-    fn f64s(&mut self, values: &[f64]) {
-        for v in values {
-            for b in v.to_bits().to_le_bytes() {
-                self.mix(b);
-            }
-        }
-    }
-
-    fn usizes(&mut self, values: impl IntoIterator<Item = usize>) {
-        for v in values {
-            for b in (v as u64).to_le_bytes() {
-                self.mix(b);
-            }
-        }
-    }
-}
 
 /// A deterministic pseudo-image (no RNG: the pattern is part of the
 /// digest contract).
@@ -129,21 +91,27 @@ pub fn run(seed: u64, quick: bool) -> String {
     let conv_ok = conv.pixels() == convolve_separable_reference(&img, &kernel).pixels()
         && conv_h.pixels() == convolve_h_reference(&img, &kernel).pixels()
         && conv_v.pixels() == convolve_v_reference(&img, &kernel).pixels();
-    let mut f = Fnv::new();
-    f.f32s(conv.pixels());
-    f.f32s(conv_h.pixels());
-    f.f32s(conv_v.pixels());
-    report("convolve", f.0, conv_ok);
+    let mut f = Digest::new();
+    for &v in conv
+        .pixels()
+        .iter()
+        .chain(conv_h.pixels())
+        .chain(conv_v.pixels())
+    {
+        f.write_f32(v);
+    }
+    report("convolve", f.finish(), conv_ok);
 
     // 2. integral image (plain + squared)
     let ii = IntegralImage::new(&img);
     let sq = IntegralImage::squared(&img);
     let ii_ok = ii.table() == IntegralImage::new_reference(&img).table()
         && sq.table() == IntegralImage::squared_reference(&img).table();
-    let mut f = Fnv::new();
-    f.f64s(ii.table());
-    f.f64s(sq.table());
-    report("integral", f.0, ii_ok);
+    let mut f = Digest::new();
+    for &v in ii.table().iter().chain(sq.table()) {
+        f.write_f64(v);
+    }
+    report("integral", f.finish(), ii_ok);
 
     // 3. bilateral grid pipeline (splat + fused blur + slice)
     let values = test_image(w, h, seed.wrapping_add(1));
@@ -156,12 +124,12 @@ pub fn run(seed: u64, quick: bool) -> String {
     reference.splat_reference(&img, &values, None);
     reference.blur_reference(2);
     let bil_ok = grid == reference && sliced.pixels() == reference.slice_reference(&img).pixels();
-    let mut f = Fnv::new();
+    let mut f = Digest::new();
     let (gv, gw) = grid.raw();
-    f.f32s(gv);
-    f.f32s(gw);
-    f.f32s(sliced.pixels());
-    report("bilateral", f.0, bil_ok);
+    for &v in gv.iter().chain(gw).chain(sliced.pixels()) {
+        f.write_f32(v);
+    }
+    report("bilateral", f.finish(), bil_ok);
 
     // 4. Viola-Jones scan
     let cascade = smoke_cascade();
@@ -176,14 +144,15 @@ pub fn run(seed: u64, quick: bool) -> String {
     let viola_ok = result.raw == reference.raw
         && result.detections == reference.detections
         && result.stats == reference.stats;
-    let mut f = Fnv::new();
-    f.usizes(result.raw.iter().flat_map(|d| [d.x, d.y, d.side]));
-    f.usizes([
+    let mut f = Digest::new();
+    for v in result.raw.iter().flat_map(|d| [d.x, d.y, d.side]).chain([
         result.stats.windows as usize,
         result.stats.features as usize,
         result.stats.scales as usize,
-    ]);
-    report("viola-scan", f.0, viola_ok);
+    ]) {
+        f.write_u64(v as u64);
+    }
+    report("viola-scan", f.finish(), viola_ok);
 
     // 5. batched MLP forward
     let mut rng = StdRng::seed_from_u64(seed);
@@ -193,11 +162,11 @@ pub fn run(seed: u64, quick: bool) -> String {
         .collect();
     let outputs = net.forward_batch(&batch, &Sigmoid::Exact);
     let nn_ok = outputs == net.forward_batch_reference(&batch, &Sigmoid::Exact);
-    let mut f = Fnv::new();
-    for row in &outputs {
-        f.f32s(row);
+    let mut f = Digest::new();
+    for &v in outputs.iter().flatten() {
+        f.write_f32(v);
     }
-    report("forward-batch", f.0, nn_ok);
+    report("forward-batch", f.finish(), nn_ok);
 
     out
 }

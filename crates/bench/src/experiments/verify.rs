@@ -26,7 +26,6 @@ use incam_auth::space::{
     plan_for, verify_binding_space, verify_uplink, AuthBlockCosts, BIND_ASIC, BIND_SNNAP,
     WINDOW_SIDE,
 };
-use incam_core::explore::SearchPlan;
 use incam_core::report::{sig3, Table};
 use incam_core::units::Fps;
 
@@ -125,7 +124,6 @@ pub fn run(seed: u64, quick: bool) -> String {
     // 1. the configuration space on the backscatter uplink
     out.push_str("== verify configuration space (backscatter uplink) ==\n");
     let space = verify_binding_space(&costs(), Fps::new(1.0));
-    let plan = SearchPlan::new(&space);
     let link = verify_uplink();
     let mut table = Table::new(&[
         "configuration",
@@ -134,10 +132,7 @@ pub fn run(seed: u64, quick: bool) -> String {
         "upload",
         "energy/verify",
     ]);
-    // the table prints every configuration, dominated or not, so it
-    // routes through the plan's exhaustive passthrough (byte-identical
-    // to the pre-engine enumeration)
-    for analysis in plan.explore(&link) {
+    for analysis in space.explore(&link) {
         table.row_owned(vec![
             analysis.label.clone(),
             format!("{} fps", sig3(analysis.compute.fps())),

@@ -135,7 +135,8 @@ pub fn render_fig10(model: &VrModel) -> String {
 pub fn render_fig10_frontier(model: &VrModel, link: &Link) -> String {
     let space = model.binding_space();
     let analyses: Vec<_> = space
-        .explore_where(link, PipelineConfig::paper_coupling)
+        .explore(link)
+        .filter(|a| PipelineConfig::paper_coupling(&a.config))
         .collect();
     let total = analyses.len();
     let frontier = incam_core::explore::pareto_frontier(analyses);

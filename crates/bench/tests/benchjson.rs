@@ -1,7 +1,8 @@
 //! Schema-checks every committed `BENCH_*.json` trajectory file in the
-//! repository (`crates/bench/` and `results/`). `ci.sh` runs this test
-//! before the bench smoke, so a harness change that breaks the JSON
-//! shape — or a hand-edited file with a negative median — fails fast.
+//! repository — all of them live in `results/` (local `cargo bench`
+//! output elsewhere is not scanned). `ci.sh` runs this test before the
+//! bench smoke, so a harness change that breaks the JSON shape — or a
+//! hand-edited file with a negative median — fails fast.
 
 use incam_bench::benchjson;
 use std::path::{Path, PathBuf};
@@ -30,8 +31,7 @@ fn every_committed_bench_json_matches_the_schema() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let workspace = manifest.parent().and_then(Path::parent).expect("workspace");
 
-    let mut files = bench_files(manifest);
-    files.extend(bench_files(&workspace.join("results")));
+    let files = bench_files(&workspace.join("results"));
     assert!(
         !files.is_empty(),
         "no BENCH_*.json found; the repo commits at least results/BENCH_fleet.json"

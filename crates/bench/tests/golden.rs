@@ -99,7 +99,8 @@ mod fig10_golden {
         let space = model.binding_space();
         let link = Link::ethernet_25g();
         let rows: Vec<_> = space
-            .explore_where(&link, PipelineConfig::paper_coupling)
+            .explore(&link)
+            .filter(|row| PipelineConfig::paper_coupling(&row.config))
             .collect();
         assert_eq!(rows.len(), 9, "Fig. 10 has nine configurations");
 
@@ -210,7 +211,7 @@ mod chaos_golden {
         // PR 10 regression witness: the adaptive-cut policy now
         // re-ranks a committed held-cut frontier
         // (`IncrementalSearch::over_held_cuts`) instead of re-running
-        // the old from-scratch `best_cut_held` loop. The port is
+        // the old from-scratch loop over the held cuts. The port is
         // byte-preserving, so these counters are the *same* numbers the
         // pre-engine code produced — any drift here means the
         // incremental layer stopped agreeing with exhaustive search.

@@ -14,11 +14,36 @@
 //!   spaces — the whole configuration space;
 //! * a [`Configuration`] is one point in that space: a binding choice
 //!   per block plus an offload cut;
-//! * [`PipelineSpace::configurations`] enumerates the space lazily
-//!   (compose with `Iterator::filter` for predicate pruning), and
+//! * a [`ConfigAnalysis`] is one configuration's cost row over a link
+//!   (compute and communication FPS, upload bytes, in-camera energy) —
+//!   the only analysis row: a fixed [`Pipeline`] is the space with one
+//!   binding per block (`PipelineSpace::from(&pipeline)`), and
+//!   [`crate::offload::analyze_cut`] prices one of its cuts.
+//!
+//! Three pieces search a space, and every winner they return obeys the
+//! one tie-break rule in [`first_best`]:
+//!
+//! * [`PipelineSpace`] is the exhaustive enumerator — the view path
+//!   (tables that print every configuration, dominated or not) and the
+//!   test oracle. [`PipelineSpace::explore`] evaluates every distinct
+//!   configuration lazily (compose with `Iterator::filter` for predicate
+//!   views such as the paper's Fig. 10 coupling), and
 //!   [`pareto_frontier`] keeps the configurations that are not dominated
 //!   on the three paper objectives — total FPS, in-camera energy per
-//!   frame, and uploaded bytes per frame.
+//!   frame, and uploaded bytes per frame;
+//! * a [`SearchPlan`] answers [`SearchPlan::best`] and
+//!   [`SearchPlan::pareto_frontier`] by branch-and-bound: per-block
+//!   dominance pre-pruning drops bindings an earlier same-block sibling
+//!   weakly dominates on (throughput, energy, output size), prefix
+//!   bounds kill whole subtrees during the cut-major descent, and the
+//!   surviving link-independent frontier is memoized;
+//! * an [`IncrementalSearch`] is that frontier, owned: it re-ranks under
+//!   a *new link only*, because the link enters the objective solely
+//!   through the upload term, so the link-independent three-objective
+//!   frontier is a superset of every link's optimum. It is either
+//!   cloned out of a plan ([`SearchPlan::frontier`]) or built over the
+//!   held-cut chain of committed hardware
+//!   ([`IncrementalSearch::over_held_cuts`]).
 //!
 //! Two enumeration granularities exist because bindings of blocks *after*
 //! the cut never execute in camera: the full product
@@ -27,23 +52,6 @@
 //! canonical representative per observable configuration. The paper's
 //! nine Fig. 10 configurations are exactly the distinct space of the VR
 //! pipeline with the depth block's three backends coupled to stitching.
-//!
-//! On top of the enumeration sits the layered search engine, for spaces
-//! where the distinct product is combinatorially large:
-//!
-//! * a [`SearchPlan`] prunes the space before and during enumeration —
-//!   per-block dominance pre-pruning drops bindings an earlier
-//!   same-block sibling weakly dominates on (throughput, energy,
-//!   output size), and prefix bounds kill whole subtrees during the
-//!   cut-major descent — then memoizes the surviving [`Frontier`]
-//!   (keyed by an FNV-1a [`space_digest`]) so repeated
-//!   [`SearchPlan::best`] / [`SearchPlan::pareto_frontier`] calls on an
-//!   unchanged space re-rank a small frontier instead of re-enumerating;
-//! * an [`IncrementalSearch`] owns a committed [`Frontier`] and
-//!   re-ranks it under a *new link only*: the link enters the objective
-//!   solely through the upload term, so the link-independent
-//!   three-objective frontier is a superset of every new link's optimum
-//!   ([`PipelineSpace::best_cut_held`] is a thin wrapper over it).
 //!
 //! All pruning is behavior-preserving: winners and Pareto frontiers are
 //! bit-identical to the exhaustive methods. The dominance argument is
@@ -82,7 +90,8 @@ use crate::link::Link;
 use crate::offload::{analyze_cut, Constraint};
 use crate::pipeline::{Pipeline, Source, Stage};
 use crate::units::{Bytes, Fps, Joules};
-use std::cell::{OnceCell, RefCell};
+use incam_rng::Digest;
+use std::cell::OnceCell;
 
 /// One candidate way to execute a block: a backend with concrete costs.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,7 +234,10 @@ impl Configuration {
 }
 
 /// Cost analysis of one configuration over one link: the Fig. 10 row for
-/// that configuration, extended with the energy objective.
+/// that configuration, extended with the energy objective. Rows of a
+/// fixed pipeline's cuts come from [`crate::offload::analyze_cut`] (or
+/// from exploring `PipelineSpace::from(&pipeline)`), with every binding
+/// index 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigAnalysis {
     /// The analyzed configuration.
@@ -418,16 +430,11 @@ impl PipelineSpace {
     ///
     /// Panics if the configuration's shape does not match the space.
     pub fn evaluate(&self, config: &Configuration, link: &Link) -> ConfigAnalysis {
-        let pipeline = self.realize(config);
-        let cut = analyze_cut(&pipeline, link, config.cut);
-        ConfigAnalysis {
-            config: config.clone(),
-            label: cut.label,
-            compute: cut.compute,
-            communication: cut.communication,
-            upload: cut.upload_size,
-            energy: pipeline.energy_per_frame_through(config.cut),
-        }
+        let mut analysis = analyze_cut(&self.realize(config), link, config.cut);
+        // the realized pipeline is a fixed one, so its row carries
+        // all-zero bindings; restore the choices that realized it
+        analysis.config.bindings.copy_from_slice(&config.bindings);
+        analysis
     }
 
     /// Evaluates every *distinct* configuration over a link, in
@@ -437,56 +444,19 @@ impl PipelineSpace {
             .map(move |c| self.evaluate(&c, link))
     }
 
-    /// Evaluates the distinct configurations that satisfy `keep` — the
-    /// pruned search the per-app paper sets are views of (e.g. "the
-    /// stitching backend must match the depth backend").
-    pub fn explore_where<'a, F>(
-        &'a self,
-        link: &'a Link,
-        mut keep: F,
-    ) -> impl Iterator<Item = ConfigAnalysis> + 'a
-    where
-        F: FnMut(&Configuration) -> bool + 'a,
-    {
-        self.distinct_configurations()
-            .filter(move |c| keep(c))
-            .map(move |c| self.evaluate(&c, link))
-    }
-
     /// The configuration with the highest end-to-end frame rate over
-    /// `link`. Ties resolve to the earliest configuration in enumeration
-    /// order — the earliest cut, then the lowest binding indices — i.e.
-    /// the least in-camera work. Returns `None` only for a space that
-    /// somehow enumerates nothing (never: cut 0 always exists).
+    /// `link`, by the [`first_best`] tie-break: of equal totals the
+    /// earliest in enumeration order wins — the earliest cut, then the
+    /// lowest binding indices, i.e. the least in-camera work. Returns
+    /// `None` only for a space that somehow enumerates nothing (never:
+    /// cut 0 always exists). For the winner of a predicate view, filter
+    /// [`PipelineSpace::explore`] and pass it to [`first_best`].
     ///
-    /// The tie-break is *first-seen wins*: a later configuration
-    /// displaces the incumbent only when its total is strictly greater.
-    /// This exact rule is load-bearing — [`SearchPlan`] and
-    /// [`IncrementalSearch`] must reproduce it under pruning, and
-    /// `tests/search_equivalence.rs` proptests that they do on random
-    /// spaces.
+    /// [`SearchPlan`] and [`IncrementalSearch`] must reproduce this
+    /// winner under pruning; `tests/search_equivalence.rs` proptests
+    /// that they do on random spaces.
     pub fn best(&self, link: &Link) -> Option<ConfigAnalysis> {
-        self.best_where(link, |_| true)
-    }
-
-    /// Like [`PipelineSpace::best`], restricted to configurations
-    /// satisfying `keep` — same first-seen tie-break: of equal-total
-    /// survivors the earliest enumerated wins.
-    pub fn best_where<F>(&self, link: &Link, keep: F) -> Option<ConfigAnalysis>
-    where
-        F: FnMut(&Configuration) -> bool,
-    {
-        let mut best: Option<ConfigAnalysis> = None;
-        for analysis in self.explore_where(link, keep) {
-            let better = match &best {
-                Some(b) => analysis.total().fps() > b.total().fps(),
-                None => true,
-            };
-            if better {
-                best = Some(analysis);
-            }
-        }
-        best
+        first_best(self.explore(link), ConfigAnalysis::total)
     }
 
     /// The Pareto frontier of the distinct space over `link`: every
@@ -495,34 +465,67 @@ impl PipelineSpace {
     pub fn pareto_frontier(&self, link: &Link) -> Vec<ConfigAnalysis> {
         pareto_frontier(self.explore(link).collect())
     }
+}
 
-    /// Online cut re-selection: re-evaluates every cut of a *committed*
-    /// configuration over `link` and returns the analysis with the
-    /// highest end-to-end frame rate. The binding choice per block is
-    /// held at `committed` (the hardware is already built; only the
-    /// offload point can move at runtime), and each candidate is
-    /// canonicalized — bindings past the cut reset to 0 — so the result
-    /// matches the distinct enumeration exactly. Ties resolve to the
-    /// earliest cut: the least in-camera work.
-    ///
-    /// This is the single re-search entry point shared by
-    /// `vr::degrade`'s adaptive-cut policy and the fleet simulator's
-    /// per-camera re-selection; callers typically pass
-    /// [`Link::degraded`] with the *observed* goodput. It is a thin
-    /// wrapper over [`IncrementalSearch::over_held_cuts`] — callers that
-    /// re-search the same committed bindings under a *sequence* of links
-    /// should build the `IncrementalSearch` once and re-rank it per
-    /// link instead of paying the chain evaluation every time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `committed` does not have one binding index per block,
-    /// or any index is out of range for its block.
-    pub fn best_cut_held(&self, link: &Link, committed: &[usize]) -> ConfigAnalysis {
-        IncrementalSearch::over_held_cuts(self, committed)
-            .best_analysis(self, link)
-            .expect("cut 0 is always evaluated") // incam-lint: allow(fallible-unwrap) — the held chain contains cut 0, so a winner exists
+/// A fixed pipeline as the space with one binding per block — its own
+/// stage — so the whole search surface applies to it: `explore` yields
+/// one row per offload cut (each equal to [`crate::offload::analyze_cut`]
+/// of that cut) and `best` the best cut.
+impl From<&Pipeline> for PipelineSpace {
+    fn from(pipeline: &Pipeline) -> Self {
+        let mut space = Self::new(pipeline.source().clone());
+        for stage in pipeline.stages() {
+            space.push(BlockSpace::new(
+                stage.spec().clone(),
+                vec![Binding::new(stage.backend(), stage.throughput())
+                    .with_energy_per_frame(stage.energy_per_frame())],
+            ));
+        }
+        space
     }
+}
+
+/// The first strict maximum of `total` over `candidates`: a later
+/// candidate displaces the incumbent only when its total is strictly
+/// greater, so ties resolve to the earliest. In enumeration order that
+/// is the least in-camera work.
+///
+/// This is the one winner rule of the module —
+/// [`PipelineSpace::best`], [`SearchPlan::best`] and
+/// [`IncrementalSearch::best`] all reduce through it — and the way to
+/// take the winner of a filtered view:
+///
+/// ```
+/// use incam_core::block::{Backend, BlockSpec, DataTransform};
+/// use incam_core::explore::{first_best, ConfigAnalysis, PipelineSpace};
+/// use incam_core::link::Link;
+/// use incam_core::pipeline::{Pipeline, Source, Stage};
+/// use incam_core::units::{Bytes, BytesPerSec, Fps};
+///
+/// let p = Pipeline::new(Source::new("s", Bytes::new(1000.0), Fps::new(100.0)))
+///     .then(Stage::new(BlockSpec::core("reduce", DataTransform::Scale(0.25)),
+///                      Backend::Asic, Fps::new(60.0)));
+/// let space = PipelineSpace::from(&p);
+/// let link = Link::new("l", BytesPerSec::new(10_000.0), 1.0);
+/// // the best cut offloads reduced data...
+/// assert_eq!(space.best(&link).unwrap().config.cut(), 1);
+/// // ...while the best of a raw-offload-only view is cut 0
+/// let raw_only = space.explore(&link).filter(|a| a.config.cut() == 0);
+/// let raw = first_best(raw_only, ConfigAnalysis::total).unwrap();
+/// assert_eq!(raw.label, "S");
+/// ```
+pub fn first_best<T>(
+    candidates: impl IntoIterator<Item = T>,
+    total: impl Fn(&T) -> Fps,
+) -> Option<T> {
+    let mut best: Option<(T, f64)> = None;
+    for candidate in candidates {
+        let t = total(&candidate).fps();
+        if best.as_ref().is_none_or(|&(_, incumbent)| t > incumbent) {
+            best = Some((candidate, t));
+        }
+    }
+    best.map(|(candidate, _)| candidate)
 }
 
 /// Lazy cut-major enumeration of a [`PipelineSpace`] (see
@@ -656,46 +659,15 @@ fn pareto_sweep(analyses: Vec<ConfigAnalysis>) -> Vec<ConfigAnalysis> {
 }
 
 // ---------------------------------------------------------------------------
-// The layered search engine: digests, SearchPlan, Frontier,
-// IncrementalSearch.
+// The pruned search engine: SearchPlan and IncrementalSearch.
 // ---------------------------------------------------------------------------
 
-/// 64-bit FNV-1a, the digest the engine keys memoized frontiers by.
-/// Hand-rolled because the workspace is dependency-free and the digest
-/// only needs to be stable and cheap, not cryptographic.
-#[derive(Debug, Clone, Copy)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
+fn digest_str(h: &mut Digest, s: &str) {
+    h.write_u64(s.len() as u64);
+    h.write(s.as_bytes());
 }
 
-fn digest_transform(h: &mut Fnv64, transform: DataTransform) {
+fn digest_transform(h: &mut Digest, transform: DataTransform) {
     match transform {
         DataTransform::Identity => h.write(&[0]),
         DataTransform::Scale(factor) => {
@@ -711,24 +683,25 @@ fn digest_transform(h: &mut Fnv64, transform: DataTransform) {
 
 /// A stable FNV-1a digest of everything the search engine reads out of
 /// a space: source costs, block specs, and per-binding costs, in order.
-/// A [`Frontier`] carries the digest of the space it was computed from,
-/// and [`IncrementalSearch::best_analysis`] checks it before resolving
-/// configurations against a space.
+/// An [`IncrementalSearch`] carries the digest of the space it was
+/// computed from, and [`IncrementalSearch::best_analysis`] checks it
+/// before resolving configurations against a space. The digest is an
+/// in-process key, never pinned.
 pub fn space_digest(space: &PipelineSpace) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Digest::new();
     let source = space.source();
-    h.write_str(source.name());
+    digest_str(&mut h, source.name());
     h.write_f64(source.frame_size().bytes());
     h.write_f64(source.max_fps().fps());
     h.write_f64(source.capture_energy().joules());
     h.write_u64(space.len() as u64);
     for block in space.blocks() {
-        h.write_str(block.spec().name());
+        digest_str(&mut h, block.spec().name());
         h.write(&[u8::from(block.spec().kind() == BlockKind::Optional)]);
         digest_transform(&mut h, block.spec().transform());
         h.write_u64(block.bindings().len() as u64);
         for binding in block.bindings() {
-            h.write_str(&binding.backend().letter().to_string());
+            h.write_u64(u64::from(binding.backend().letter()));
             h.write_f64(binding.throughput().fps());
             h.write_f64(binding.energy_per_frame().joules());
             match binding.output() {
@@ -740,19 +713,6 @@ pub fn space_digest(space: &PipelineSpace) -> u64 {
             }
         }
     }
-    h.finish()
-}
-
-/// A stable FNV-1a digest of a link's cost-relevant fields, used to key
-/// [`SearchPlan`]'s per-link result caches (cache hits additionally
-/// verify full [`Link`] equality, so a digest collision costs a miss,
-/// never a wrong answer).
-pub fn link_digest(link: &Link) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(link.name());
-    h.write_f64(link.raw_rate().per_sec());
-    h.write_f64(link.efficiency());
-    h.write_f64(link.energy_per_bit().joules());
     h.finish()
 }
 
@@ -783,11 +743,11 @@ impl SearchStats {
     }
 }
 
-/// One surviving point of a [`Frontier`]: a distinct configuration with
-/// its three link-independent objectives, computed with exactly the
-/// same floating-point operations (and operation order) as
-/// [`PipelineSpace::evaluate`], so re-ranking under a link reproduces
-/// the exhaustive search bit-for-bit.
+/// One surviving point of an [`IncrementalSearch`] frontier: a distinct
+/// configuration with its three link-independent objectives, computed
+/// with exactly the same floating-point operations (and operation
+/// order) as [`PipelineSpace::evaluate`], so re-ranking under a link
+/// reproduces the exhaustive search bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPoint {
     /// The canonical configuration this point stands for.
@@ -833,88 +793,14 @@ fn upload_key_of(upload: Bytes) -> f64 {
     }
 }
 
-/// The memoized result of one pruned enumeration: every distinct
-/// configuration *not* weakly dominated, on the three link-independent
-/// objectives (compute FPS up, in-camera energy down, upload down), by
-/// an earlier-enumerated configuration — kept in enumeration order.
-///
-/// A link enters the search objective only through the upload term
-/// (`total = compute.min(link.upload_fps(upload))`, monotone
-/// non-increasing in the upload ordering), so for *every* link the
-/// frontier contains the exhaustive search's first-seen winner, and
-/// scanning it in order with the same strictly-greater-displaces rule
-/// reproduces that winner exactly. This is what makes link-only
-/// re-search ([`IncrementalSearch`]) sound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frontier {
-    space_digest: u64,
-    points: Vec<FrontierPoint>,
-    stats: SearchStats,
-}
-
-impl Frontier {
-    /// The surviving points, in enumeration order.
-    pub fn points(&self) -> &[FrontierPoint] {
-        &self.points
-    }
-
-    /// Digest of the space this frontier was computed from (see
-    /// [`space_digest`]).
-    pub fn space_digest(&self) -> u64 {
-        self.space_digest
-    }
-
-    /// Node-count accounting of the construction.
-    pub fn stats(&self) -> SearchStats {
-        self.stats
-    }
-
-    /// Number of surviving points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when no point survived — never for a frontier built from
-    /// a real space, whose cut-0 configuration has no earlier point to
-    /// dominate it.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The point with the highest end-to-end rate over `link`, by the
-    /// exhaustive tie-break: first-seen wins, later points displace
-    /// only when strictly greater.
-    fn best_point(&self, link: &Link) -> Option<&FrontierPoint> {
-        let mut best: Option<(&FrontierPoint, f64)> = None;
-        for point in &self.points {
-            let total = point.total(link).fps();
-            let better = match best {
-                Some((_, incumbent)) => total > incumbent,
-                None => true,
-            };
-            if better {
-                best = Some((point, total));
-            }
-        }
-        best.map(|(point, _)| point)
-    }
-}
-
-/// Entries a [`SearchPlan`] keeps per per-link result cache; eviction
-/// is oldest-first, so a rotating set of links larger than this
-/// degrades to recomputation, never to a wrong answer.
-const LINK_CACHE_CAP: usize = 32;
-
 /// Branch-and-bound search over a [`PipelineSpace`].
 ///
 /// Construction pre-prunes each block's bindings by dominance; the
-/// first call that needs the [`Frontier`] runs a cut-major descent over
-/// the surviving product with prefix-bound subtree pruning and
-/// memoizes the result (tagged with the FNV [`space_digest`]), so
-/// repeated [`SearchPlan::best`] / [`SearchPlan::pareto_frontier`]
-/// calls on an unchanged space re-rank the (small) frontier instead of
-/// re-enumerating. Per-link results are additionally cached under
-/// [`link_digest`].
+/// first call that needs the frontier runs a cut-major descent over the
+/// surviving product with prefix-bound subtree pruning and memoizes the
+/// result as an [`IncrementalSearch`], so every later
+/// [`SearchPlan::best`] / [`SearchPlan::pareto_frontier`] call re-ranks
+/// the (small) frontier under its link instead of re-enumerating.
 ///
 /// # Why pruning preserves behavior
 ///
@@ -951,13 +837,10 @@ const LINK_CACHE_CAP: usize = 32;
 #[derive(Debug, Clone)]
 pub struct SearchPlan<'a> {
     space: &'a PipelineSpace,
-    digest: u64,
     regular: bool,
     live: Vec<Vec<usize>>,
     bindings_pruned: u64,
-    frontier: OnceCell<Frontier>,
-    best_cache: RefCell<Vec<(u64, Link, Option<ConfigAnalysis>)>>,
-    pareto_cache: RefCell<Vec<(u64, Link, Vec<ConfigAnalysis>)>>,
+    frontier: OnceCell<IncrementalSearch>,
 }
 
 impl<'a> SearchPlan<'a> {
@@ -986,25 +869,11 @@ impl<'a> SearchPlan<'a> {
         }
         Self {
             space,
-            digest: space_digest(space),
             regular,
             live,
             bindings_pruned,
             frontier: OnceCell::new(),
-            best_cache: RefCell::new(Vec::new()),
-            pareto_cache: RefCell::new(Vec::new()),
         }
-    }
-
-    /// The space this plan searches.
-    pub fn space(&self) -> &'a PipelineSpace {
-        self.space
-    }
-
-    /// FNV-1a digest of the space (see [`space_digest`]); the memoized
-    /// frontier carries the same digest.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// `true` when the space admits the monotone pruning rules (see the
@@ -1021,7 +890,9 @@ impl<'a> SearchPlan<'a> {
     }
 
     /// The memoized link-independent frontier, built on first call.
-    pub fn frontier(&self) -> &Frontier {
+    /// Clone it to keep re-ranking after the plan (and its borrow of the
+    /// space) is gone.
+    pub fn frontier(&self) -> &IncrementalSearch {
         self.frontier.get_or_init(|| self.build_frontier())
     }
 
@@ -1030,80 +901,31 @@ impl<'a> SearchPlan<'a> {
         self.frontier().stats
     }
 
-    /// The exhaustive distinct enumeration over `link`, bypassing all
-    /// pruning — the oracle path, and the one view-layer consumers
-    /// (figure tables that print every configuration, dominated or not)
-    /// route through.
-    pub fn explore(&self, link: &'a Link) -> impl Iterator<Item = ConfigAnalysis> + 'a {
-        self.space.explore(link)
-    }
-
-    /// The exhaustive distinct enumeration of configurations, bypassing
-    /// all pruning — for view layers whose *contract* is the full set
-    /// (e.g. the VR paper set, whose shape space carries placeholder
-    /// costs under which sibling bindings are cost-identical and would
-    /// otherwise be pruned down to one representative).
-    pub fn distinct_configurations(&self) -> impl Iterator<Item = Configuration> + 'a {
-        self.space.distinct_configurations()
-    }
-
     /// The exhaustive-equivalent best configuration over `link`, from
-    /// the pruned frontier (memoized per link).
+    /// the pruned frontier.
     pub fn best(&self, link: &Link) -> Option<ConfigAnalysis> {
-        let key = link_digest(link);
-        if let Some((_, _, hit)) = self
-            .best_cache
-            .borrow()
-            .iter()
-            .find(|(k, l, _)| *k == key && l == link)
-        {
-            return hit.clone();
-        }
-        let result = self
-            .frontier()
-            .best_point(link)
-            .map(|point| self.space.evaluate(&point.config, link));
-        let mut cache = self.best_cache.borrow_mut();
-        if cache.len() >= LINK_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push((key, link.clone(), result.clone()));
-        result
+        self.frontier()
+            .best(link)
+            .map(|point| self.space.evaluate(&point.config, link))
     }
 
-    /// The exhaustive-equivalent Pareto frontier over `link` (memoized
-    /// per link). Regular spaces re-rank the pruned frontier; others
-    /// fall back to [`PipelineSpace::pareto_frontier`].
+    /// The exhaustive-equivalent Pareto frontier over `link`. Regular
+    /// spaces re-rank the pruned frontier; others fall back to
+    /// [`PipelineSpace::pareto_frontier`].
     pub fn pareto_frontier(&self, link: &Link) -> Vec<ConfigAnalysis> {
-        let key = link_digest(link);
-        if let Some((_, _, hit)) = self
-            .pareto_cache
-            .borrow()
-            .iter()
-            .find(|(k, l, _)| *k == key && l == link)
-        {
-            return hit.clone();
+        if !self.regular {
+            return self.space.pareto_frontier(link);
         }
-        let result = if self.regular {
-            pareto_frontier(
-                self.frontier()
-                    .points()
-                    .iter()
-                    .map(|point| self.space.evaluate(&point.config, link))
-                    .collect(),
-            )
-        } else {
-            self.space.pareto_frontier(link)
-        };
-        let mut cache = self.pareto_cache.borrow_mut();
-        if cache.len() >= LINK_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push((key, link.clone(), result.clone()));
-        result
+        pareto_frontier(
+            self.frontier()
+                .points
+                .iter()
+                .map(|point| self.space.evaluate(&point.config, link))
+                .collect(),
+        )
     }
 
-    fn build_frontier(&self) -> Frontier {
+    fn build_frontier(&self) -> IncrementalSearch {
         let n = self.space.len();
         let source = self.space.source();
         // Per-block live-binding cost tables (original index, effective
@@ -1165,8 +987,8 @@ impl<'a> SearchPlan<'a> {
                 source.frame_size(),
             );
         }
-        Frontier {
-            space_digest: self.digest,
+        IncrementalSearch {
+            space_digest: space_digest(self.space),
             points: builder.points,
             stats: builder.stats,
         }
@@ -1329,40 +1151,41 @@ fn saturating_u64(v: u128) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
 }
 
-/// Link-only re-search over a committed [`Frontier`].
+/// A committed link-independent frontier, re-ranked per link.
 ///
-/// Owns its data — configurations plus their precomputed
-/// link-independent objectives — so long-lived controllers (the fleet
-/// simulator's per-profile tables, `vr::degrade`'s adaptive-cut
-/// policy) can re-rank on every goodput shift without re-enumerating
-/// the space or holding a borrow of it. Since a link affects only the
-/// upload term, re-ranking the frontier under a new link returns
-/// exactly the configuration a from-scratch search would (bit-equal;
+/// The points are every configuration of the searched set *not* weakly
+/// dominated, on the three link-independent objectives (compute FPS
+/// up, in-camera energy down, upload down), by an earlier-enumerated
+/// one — kept in enumeration order. A link enters the search objective
+/// only through the upload term (`total = compute.min(link.upload_fps(upload))`,
+/// monotone non-increasing in the upload ordering), so for *every* link
+/// the frontier contains the from-scratch search's first-seen winner,
+/// and [`IncrementalSearch::best`] reproduces it exactly (bit-equal;
 /// proptested in `tests/search_equivalence.rs`).
+///
+/// The search owns its data — configurations plus their precomputed
+/// objectives — so long-lived controllers (the fleet simulator's
+/// per-profile tables, `vr::degrade`'s adaptive-cut policy) re-rank on
+/// every goodput shift without re-enumerating the space or holding a
+/// borrow of it. Build one over a whole space by cloning
+/// [`SearchPlan::frontier`], or over committed hardware with
+/// [`IncrementalSearch::over_held_cuts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalSearch {
-    frontier: Frontier,
+    space_digest: u64,
+    points: Vec<FrontierPoint>,
+    stats: SearchStats,
 }
 
 impl IncrementalSearch {
-    /// Commits the pruned frontier of the whole distinct space.
-    pub fn over_space(space: &PipelineSpace) -> Self {
-        Self {
-            frontier: SearchPlan::new(space).frontier().clone(),
-        }
-    }
-
-    /// Commits an existing frontier (e.g. cloned out of a long-lived
-    /// [`SearchPlan`]).
-    pub fn from_frontier(frontier: Frontier) -> Self {
-        Self { frontier }
-    }
-
     /// Commits the *held-cut chain* of a committed binding vector: the
     /// `len + 1` canonical cut configurations with bindings held at
-    /// `committed`, witness-filtered in cut order. This is the frontier
-    /// online cut re-selection re-ranks (see
-    /// [`PipelineSpace::best_cut_held`]).
+    /// `committed` (the hardware is already built; only the offload
+    /// point can move at runtime), witness-filtered in cut order. This
+    /// is the frontier online cut re-selection re-ranks, typically
+    /// under [`Link::degraded`] with the *observed* goodput; its winner
+    /// is the first strict maximum over the held cuts, the earliest cut
+    /// on ties.
     ///
     /// # Panics
     ///
@@ -1404,29 +1227,50 @@ impl IncrementalSearch {
             });
         }
         Self {
-            frontier: Frontier {
-                space_digest: space_digest(space),
-                points,
-                stats: SearchStats {
-                    exhaustive: chain,
-                    evaluated: chain,
-                    bindings_pruned: 0,
-                    subtrees_pruned: 0,
-                },
+            space_digest: space_digest(space),
+            points,
+            stats: SearchStats {
+                exhaustive: chain,
+                evaluated: chain,
+                bindings_pruned: 0,
+                subtrees_pruned: 0,
             },
         }
     }
 
-    /// The committed frontier.
-    pub fn frontier(&self) -> &Frontier {
-        &self.frontier
+    /// The surviving points, in enumeration order.
+    pub fn points(&self) -> &[FrontierPoint] {
+        &self.points
+    }
+
+    /// Node-count accounting of the construction.
+    pub fn stats(&self) -> SearchStats {
+        self.stats
+    }
+
+    /// Number of surviving points.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// `true` when no point survived — never for a frontier built from
+    /// a real space, whose cut-0 configuration has no earlier point to
+    /// dominate it.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// Digest of the space this frontier was computed from (see
+    /// [`space_digest`]).
+    pub fn space_digest(&self) -> u64 {
+        self.space_digest
     }
 
     /// Re-ranks the committed frontier under `link`: the point with the
-    /// highest end-to-end rate, first-seen tie-break — the same winner
-    /// a from-scratch search over the committed set returns.
+    /// highest end-to-end rate by [`first_best`] — the same winner a
+    /// from-scratch search over the committed set returns.
     pub fn best(&self, link: &Link) -> Option<&FrontierPoint> {
-        self.frontier.best_point(link)
+        first_best(&self.points, |point| point.total(link))
     }
 
     /// The winner's full [`ConfigAnalysis`], resolved against the space
@@ -1439,7 +1283,7 @@ impl IncrementalSearch {
     pub fn best_analysis(&self, space: &PipelineSpace, link: &Link) -> Option<ConfigAnalysis> {
         assert_eq!(
             space_digest(space),
-            self.frontier.space_digest,
+            self.space_digest,
             "IncrementalSearch frontier was committed from a different space"
         );
         self.best(link)
@@ -1559,14 +1403,23 @@ mod tests {
     }
 
     #[test]
-    fn explore_where_prunes() {
+    fn filtered_explore_prunes() {
         let space = sample_space();
         let all: Vec<_> = space.explore(&link()).collect();
         assert_eq!(all.len(), 7);
         let gpu_only: Vec<_> = space
-            .explore_where(&link(), |c| c.cut() < 2 || c.bindings()[1] == 1)
+            .explore(&link())
+            .filter(|a| a.config.cut() < 2 || a.config.bindings()[1] == 1)
             .collect();
         assert_eq!(gpu_only.len(), 5);
+    }
+
+    #[test]
+    fn first_best_keeps_the_earliest_strict_maximum() {
+        let totals = [3.0, 5.0, 5.0, 4.0, 5.0];
+        let best = first_best(totals.iter().enumerate(), |&(_, &t)| Fps::new(t));
+        assert_eq!(best.map(|(i, _)| i), Some(1));
+        assert_eq!(first_best(Vec::<f64>::new(), |&t| Fps::new(t)), None);
     }
 
     #[test]
@@ -1605,26 +1458,35 @@ mod tests {
         assert!(!a.dominates(&a.clone()));
     }
 
+    fn held_best(space: &PipelineSpace, link: &Link, committed: &[usize]) -> ConfigAnalysis {
+        IncrementalSearch::over_held_cuts(space, committed)
+            .best_analysis(space, link)
+            .unwrap()
+    }
+
     #[test]
-    fn best_cut_held_matches_filtered_best() {
+    fn held_cuts_match_filtered_best() {
         let space = sample_space();
         let link = link();
-        // hold both blocks at binding 1 (ASIC b1, GPU b2): best_cut_held
-        // must agree with the equivalent best_where over the distinct
-        // space (bindings in camera pinned to the committed indices)
-        let held = space.best_cut_held(&link, &[1, 1]);
-        let filtered = space
-            .best_where(&link, |c| {
+        // hold both blocks at binding 1 (ASIC b1, GPU b2): the held-cut
+        // winner must agree with the winner of the distinct space
+        // filtered to in-camera bindings pinned at the committed indices
+        let held = held_best(&space, &link, &[1, 1]);
+        let filtered = first_best(
+            space.explore(&link).filter(|a| {
+                let c = &a.config;
                 c.bindings().iter().take(c.cut()).all(|&b| b == 1)
-            })
-            .unwrap();
+            }),
+            ConfigAnalysis::total,
+        )
+        .unwrap();
         assert_eq!(held.config, filtered.config);
         assert_eq!(held.label, filtered.label);
         assert_eq!(held.compute, filtered.compute);
     }
 
     #[test]
-    fn best_cut_held_canonicalizes_and_breaks_ties_early() {
+    fn held_cuts_canonicalize_and_break_ties_early() {
         // identical bindings at every cut: all cuts tie on an identity
         // block, so the earliest cut must win and the result must be
         // canonical (bindings past the cut reset to 0)
@@ -1636,21 +1498,21 @@ mod tests {
                     Binding::new(Backend::Gpu, Fps::new(200.0)),
                 ],
             ));
-        let held = space.best_cut_held(&link(), &[1]);
+        let held = held_best(&space, &link(), &[1]);
         assert_eq!(held.config.cut(), 0);
         assert_eq!(held.config.bindings(), &[0], "canonical past the cut");
         assert!(held.config.is_canonical());
     }
 
     #[test]
-    fn best_cut_held_moves_cut_with_link_quality() {
+    fn held_cuts_move_the_cut_with_link_quality() {
         let space = sample_space();
         // on the nominal link the reducing b2 makes a deep cut pay; on a
         // heavily degraded link the comparison shifts, but the chosen
         // analysis is always the max-total one among the held cuts
         for goodput in [1.0, 0.25, 0.01] {
             let degraded = link().degraded(goodput);
-            let held = space.best_cut_held(&degraded, &[0, 0]);
+            let held = held_best(&space, &degraded, &[0, 0]);
             for cut in 0..=2usize {
                 let mut bindings = vec![0, 0];
                 bindings[cut..].fill(0);
@@ -1662,9 +1524,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "committed has")]
-    fn best_cut_held_shape_mismatch_panics() {
+    fn held_cuts_shape_mismatch_panics() {
         let space = sample_space();
-        let _ = space.best_cut_held(&link(), &[0]);
+        let _ = IncrementalSearch::over_held_cuts(&space, &[0]);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::explore::PipelineSpace;
 use crate::link::Link;
 use crate::units::{Fps, Joules};
 use core::fmt::Write as _;
+use incam_rng::Digest;
 
 /// One camera class, instantiable thousands of times by the fleet
 /// simulator.
@@ -35,7 +36,7 @@ pub struct CameraProfile {
     pub space: PipelineSpace,
     /// Committed binding index per block — the hardware that shipped.
     /// Online re-search holds these fixed and moves only the cut (see
-    /// [`PipelineSpace::best_cut_held`]).
+    /// [`IncrementalSearch::over_held_cuts`](crate::explore::IncrementalSearch::over_held_cuts)).
     pub committed: Vec<usize>,
     /// Offload cut the camera boots with.
     pub initial_cut: usize,
@@ -181,13 +182,7 @@ impl FleetReport {
     /// and the cut histogram match exactly — the object golden tests and
     /// same-seed property tests pin.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Digest::new();
         for v in [
             self.cameras,
             self.horizon_ticks,
@@ -207,12 +202,12 @@ impl FleetReport {
             self.energy_radio.joules().to_bits(),
             self.cut_histogram.len() as u64,
         ] {
-            eat(v);
+            h.write_u64(v);
         }
         for &count in &self.cut_histogram {
-            eat(count);
+            h.write_u64(count);
         }
-        h
+        h.finish()
     }
 
     /// Renders the report as an aligned text block.

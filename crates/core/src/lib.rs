@@ -12,16 +12,22 @@
 //!
 //! * throughput (frames/sec), composed as the *minimum* over pipeline
 //!   stages — see [`pipeline::Pipeline::compute_fps_through`] and
-//!   [`offload::analyze_cuts`];
+//!   [`offload::analyze_cut`];
 //! * energy (joules/frame), composed *additively* — see
 //!   [`energy::EnergyBreakdown`].
+//!
+//! Every cost question is a search over a configuration space
+//! ([`explore`]): a fixed pipeline is the space with one binding per
+//! block, each row of it is an [`explore::ConfigAnalysis`], and
+//! [`explore::SearchPlan`] / [`explore::IncrementalSearch`] answer the
+//! same questions with pruning when the space is large.
 //!
 //! # Quick start
 //!
 //! ```
 //! use incam_core::block::{Backend, BlockSpec, DataTransform};
+//! use incam_core::explore::PipelineSpace;
 //! use incam_core::link::Link;
-//! use incam_core::offload::{analyze_cuts, best_cut};
 //! use incam_core::pipeline::{Pipeline, Source, Stage};
 //! use incam_core::units::{Bytes, Fps};
 //!
@@ -35,9 +41,11 @@
 //!     .then(Stage::new(BlockSpec::core("B4", DataTransform::Scale(1.0 / 6.0)),
 //!                      Backend::Fpga, Fps::new(140.0)));
 //!
-//! let best = best_cut(&pipeline, &Link::ethernet_25g());
-//! assert_eq!(best.cut, 3); // process everything in-camera
-//! for cut in analyze_cuts(&pipeline, &Link::ethernet_25g()) {
+//! // one binding per block: the space's rows are the offload cuts
+//! let space = PipelineSpace::from(&pipeline);
+//! let best = space.best(&Link::ethernet_25g()).unwrap();
+//! assert_eq!(best.config.cut(), 3); // process everything in-camera
+//! for cut in space.explore(&Link::ethernet_25g()) {
 //!     println!("{}: {:.1} FPS", cut.label, cut.total().fps());
 //! }
 //! ```
@@ -63,7 +71,7 @@ pub use explore::{
 };
 pub use fleet::{CameraProfile, FleetReport};
 pub use link::{Link, LinkError};
-pub use offload::{analyze_cut, analyze_cuts, best_cut, Constraint, CutAnalysis};
+pub use offload::{analyze_cut, Constraint};
 pub use pipeline::{Pipeline, Source, Stage};
 pub use runtime::{
     ComputeCondition, DegradationReport, FaultOracle, IdealOracle, LinkCondition, RetryPolicy,

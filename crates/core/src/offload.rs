@@ -12,64 +12,10 @@
 //! that computes everything in-camera with FPGA-accelerated depth
 //! estimation passes a 30 FPS requirement on both axes.
 
+use crate::explore::{ConfigAnalysis, Configuration};
 use crate::link::Link;
 use crate::pipeline::Pipeline;
-use crate::units::{Bytes, Fps};
 use core::fmt;
-
-/// Cost breakdown for one offload cut.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct CutAnalysis {
-    /// Number of in-camera blocks executed before offload (0 = raw sensor).
-    pub cut: usize,
-    /// Human-readable configuration label, e.g. `S+B1+B2`.
-    pub label: String,
-    /// Pipelined in-camera compute throughput.
-    pub compute: Fps,
-    /// Uplink throughput for this cut's output data.
-    pub communication: Fps,
-    /// Data uploaded per frame at this cut.
-    pub upload_size: Bytes,
-}
-
-impl CutAnalysis {
-    /// Sustained end-to-end frame rate: the binding constraint of the two.
-    pub fn total(&self) -> Fps {
-        self.compute.min(self.communication)
-    }
-
-    /// Whether both computation and communication meet a target rate.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use incam_core::offload::CutAnalysis;
-    /// use incam_core::units::{Bytes, Fps};
-    ///
-    /// let cut = CutAnalysis {
-    ///     cut: 4,
-    ///     label: "S+B1+B2+B3F+B4".into(),
-    ///     compute: Fps::new(31.6),
-    ///     communication: Fps::new(31.6),
-    ///     upload_size: Bytes::from_mib(12.0),
-    /// };
-    /// assert!(cut.meets(Fps::new(30.0)));
-    /// assert!(!cut.meets(Fps::new(60.0)));
-    /// ```
-    pub fn meets(&self, target: Fps) -> bool {
-        self.total() >= target
-    }
-
-    /// Which of the two costs binds at this cut.
-    pub fn binding(&self) -> Constraint {
-        if self.compute <= self.communication {
-            Constraint::Computation
-        } else {
-            Constraint::Communication
-        }
-    }
-}
 
 /// Which cost limits a configuration's frame rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,17 +36,21 @@ impl fmt::Display for Constraint {
     }
 }
 
-/// Analyzes every offload cut of `pipeline` over `link`.
+/// Analyzes offload cut `k` of `pipeline` over `link`: the one per-cut
+/// cost function behind both [`crate::explore::PipelineSpace::evaluate`]
+/// and [`crate::runtime::Runtime::run`].
 ///
-/// Returns one [`CutAnalysis`] per cut, from raw-sensor offload (`cut = 0`)
-/// to full in-camera processing (`cut = pipeline.len()`).
+/// A fixed pipeline is the space with one binding per block, so the
+/// row's configuration is cut `k` with every binding index 0 — the
+/// same row exploring `PipelineSpace::from(pipeline)` yields. To
+/// analyze every cut, or pick the best one, search that space.
 ///
 /// # Examples
 ///
 /// ```
 /// use incam_core::block::{Backend, BlockSpec, DataTransform};
 /// use incam_core::link::Link;
-/// use incam_core::offload::analyze_cuts;
+/// use incam_core::offload::analyze_cut;
 /// use incam_core::pipeline::{Pipeline, Source, Stage};
 /// use incam_core::units::{Bytes, BytesPerSec, Fps};
 ///
@@ -108,53 +58,30 @@ impl fmt::Display for Constraint {
 ///     .then(Stage::new(BlockSpec::core("reduce", DataTransform::Scale(0.25)),
 ///                      Backend::Asic, Fps::new(60.0)));
 /// let link = Link::new("uplink", BytesPerSec::from_gbps(1.0), 1.0);
-/// let cuts = analyze_cuts(&p, &link);
-/// assert_eq!(cuts.len(), 2);
+/// let (raw, reduced) = (analyze_cut(&p, &link, 0), analyze_cut(&p, &link, 1));
+/// assert_eq!(reduced.label, "S+reduce(A)");
 /// // reducing data 4x quadruples the communication rate
-/// assert!((cuts[1].communication.fps() / cuts[0].communication.fps() - 4.0).abs() < 1e-9);
+/// assert!((reduced.communication.fps() / raw.communication.fps() - 4.0).abs() < 1e-9);
 /// ```
-pub fn analyze_cuts(pipeline: &Pipeline, link: &Link) -> Vec<CutAnalysis> {
-    (0..=pipeline.len())
-        .map(|k| analyze_cut(pipeline, link, k))
-        .collect()
-}
-
-/// Analyzes a single offload cut `k` of `pipeline` over `link`.
 ///
 /// # Panics
 ///
 /// Panics if `k` exceeds the number of stages.
-pub fn analyze_cut(pipeline: &Pipeline, link: &Link, k: usize) -> CutAnalysis {
+pub fn analyze_cut(pipeline: &Pipeline, link: &Link, k: usize) -> ConfigAnalysis {
     assert!(
         k <= pipeline.len(),
         "cut {k} out of range for a {}-stage pipeline",
         pipeline.len()
     );
     let upload = pipeline.data_after(k);
-    let label = cut_label(pipeline, k);
-    CutAnalysis {
-        cut: k,
-        label,
+    ConfigAnalysis {
+        config: Configuration::new(vec![0; pipeline.len()], k),
+        label: cut_label(pipeline, k),
         compute: pipeline.compute_fps_through(k),
         communication: link.upload_fps(upload),
-        upload_size: upload,
+        upload,
+        energy: pipeline.energy_per_frame_through(k),
     }
-}
-
-/// Returns the cut that maximizes the end-to-end frame rate, together with
-/// its analysis. Ties resolve to the earliest cut (least in-camera work):
-/// a strictly-greater total is required to displace the incumbent.
-pub fn best_cut(pipeline: &Pipeline, link: &Link) -> CutAnalysis {
-    analyze_cuts(pipeline, link)
-        .into_iter()
-        .reduce(|best, candidate| {
-            if candidate.total().fps() > best.total().fps() {
-                candidate
-            } else {
-                best
-            }
-        })
-        .expect("a pipeline always has at least the raw-sensor cut") // incam-lint: allow(fallible-unwrap) — every pipeline exposes at least the raw-sensor cut
 }
 
 /// Human-readable label for the in-camera prefix of cut `k`, e.g.
@@ -176,8 +103,9 @@ pub fn cut_label(pipeline: &Pipeline, k: usize) -> String {
 mod tests {
     use super::*;
     use crate::block::{Backend, BlockSpec, DataTransform};
+    use crate::explore::PipelineSpace;
     use crate::pipeline::{Source, Stage};
-    use crate::units::BytesPerSec;
+    use crate::units::{Bytes, BytesPerSec, Fps};
 
     fn vr_like() -> (Pipeline, Link) {
         let p = Pipeline::new(Source::new("S", Bytes::new(1000.0), Fps::new(100.0)))
@@ -209,34 +137,35 @@ mod tests {
     #[test]
     fn cut_count_and_labels() {
         let (p, link) = vr_like();
-        let cuts = analyze_cuts(&p, &link);
-        assert_eq!(cuts.len(), 5);
-        assert_eq!(cuts[0].label, "S");
-        assert_eq!(cuts[3].label, "S+B1(C)+B2(C)+B3(F)");
+        assert_eq!(PipelineSpace::from(&p).explore(&link).count(), 5);
+        assert_eq!(analyze_cut(&p, &link, 0).label, "S");
+        let row = analyze_cut(&p, &link, 3);
+        assert_eq!(row.label, "S+B1(C)+B2(C)+B3(F)");
+        assert_eq!(row.config, Configuration::new(vec![0; 4], 3));
     }
 
     #[test]
     fn raw_offload_is_comm_bound() {
         let (p, link) = vr_like();
-        let cuts = analyze_cuts(&p, &link);
-        assert!((cuts[0].communication.fps() - 15.8).abs() < 1e-9);
-        assert_eq!(cuts[0].binding(), Constraint::Communication);
-        assert!((cuts[0].total().fps() - 15.8).abs() < 1e-9);
+        let raw = analyze_cut(&p, &link, 0);
+        assert!((raw.communication.fps() - 15.8).abs() < 1e-9);
+        assert_eq!(raw.constraint(), Constraint::Communication);
+        assert!((raw.total().fps() - 15.8).abs() < 1e-9);
     }
 
     #[test]
     fn expansion_block_hurts_communication() {
         let (p, link) = vr_like();
-        let cuts = analyze_cuts(&p, &link);
         // B2 expands data 4x, so comm FPS drops 4x
-        assert!((cuts[2].communication.fps() - 15.8 / 4.0).abs() < 1e-9);
+        let cut2 = analyze_cut(&p, &link, 2);
+        assert!((cut2.communication.fps() - 15.8 / 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn full_pipeline_wins() {
         let (p, link) = vr_like();
-        let best = best_cut(&p, &link);
-        assert_eq!(best.cut, 4);
+        let best = PipelineSpace::from(&p).best(&link).unwrap();
+        assert_eq!(best.config.cut(), 4);
         assert!((best.total().fps() - 31.6).abs() < 1e-6);
         assert!(best.meets(Fps::new(30.0)));
     }
@@ -246,14 +175,14 @@ mod tests {
         let (p, link) = vr_like();
         let cut3 = analyze_cut(&p, &link, 3);
         // B3 FPGA at 31.6 > comm 5.27 => comm-bound
-        assert_eq!(cut3.binding(), Constraint::Communication);
+        assert_eq!(cut3.constraint(), Constraint::Communication);
         let cut4 = analyze_cut(&p, &link, 4);
         // data after B4: 1000 * 4 * 0.75 / 6 = 500 B => comm = 31.6 FPS
         assert!((cut4.communication.fps() - 31.6).abs() < 0.01);
     }
 
     #[test]
-    fn best_cut_ties_resolve_to_earliest() {
+    fn best_of_tied_cuts_is_the_earliest() {
         // An identity block leaves the upload size unchanged, so cuts 0
         // and 1 have identical communication FPS; with compute far above
         // the link both cuts' totals tie *exactly* and the doc promises
@@ -265,9 +194,13 @@ mod tests {
                 Fps::new(174.0),
             ));
         let link = Link::new("L", BytesPerSec::new(10_000.0), 1.0);
-        let cuts = analyze_cuts(&p, &link);
-        assert_eq!(cuts[0].total(), cuts[1].total(), "cuts must tie exactly");
-        assert_eq!(best_cut(&p, &link).cut, 0);
+        assert_eq!(
+            analyze_cut(&p, &link, 0).total(),
+            analyze_cut(&p, &link, 1).total(),
+            "cuts must tie exactly"
+        );
+        let best = PipelineSpace::from(&p).best(&link).unwrap();
+        assert_eq!(best.config.cut(), 0);
     }
 
     #[test]

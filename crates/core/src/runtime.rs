@@ -362,10 +362,10 @@ impl<'a> Runtime<'a> {
     /// Runs `frames` frames against `oracle` and aggregates the outcome.
     pub fn run(&self, frames: u64, oracle: &dyn FaultOracle) -> DegradationReport {
         let ideal = analyze_cut(self.pipeline, self.link, self.cut);
-        let upload_size = ideal.upload_size;
+        let upload_size = ideal.upload;
         let ideal_upload = self.link.upload_time(upload_size);
         let effective_rate = self.link.effective_rate();
-        let energy_compute_ideal = self.pipeline.energy_per_frame_through(self.cut);
+        let energy_compute_ideal = ideal.energy;
         let energy_upload_ideal = self.link.upload_energy(upload_size);
 
         let mut completed = 0u64;

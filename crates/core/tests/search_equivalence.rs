@@ -77,10 +77,10 @@ fn make_link(rate: u32) -> Link {
     Link::new("l", BytesPerSec::new(10.0 * f64::from(rate)), 1.0)
 }
 
-/// The pre-engine `best_cut_held` loop, kept verbatim as the oracle for
-/// the held-cut chain: canonicalize each cut, evaluate from scratch,
-/// keep the first strict maximum.
-fn legacy_best_cut_held(space: &PipelineSpace, link: &Link, committed: &[usize]) -> ConfigAnalysis {
+/// The pre-engine held-cut re-selection loop, kept verbatim as the
+/// oracle for the held-cut chain: canonicalize each cut, evaluate from
+/// scratch, keep the first strict maximum.
+fn legacy_held_cut_loop(space: &PipelineSpace, link: &Link, committed: &[usize]) -> ConfigAnalysis {
     let mut best: Option<ConfigAnalysis> = None;
     for cut in 0..=space.len() {
         let mut bindings = committed.to_vec();
@@ -106,8 +106,8 @@ fn block_strategy() -> impl Strategy<Value = BlockGen> {
 
 proptest! {
     /// Pruned winner == exhaustive winner, bit-for-bit, on random
-    /// regular spaces under random links — including the memoized
-    /// second call.
+    /// regular spaces under random links — including a second call
+    /// answered from the memoized frontier.
     #[test]
     fn plan_best_equals_exhaustive(
         blocks in prop::collection::vec(block_strategy(), 1..5),
@@ -119,7 +119,7 @@ proptest! {
             let link = make_link(rate);
             let exhaustive = space.best(&link);
             prop_assert_eq!(&plan.best(&link), &exhaustive);
-            // memoized path answers identically
+            // the memoized frontier answers identically
             prop_assert_eq!(&plan.best(&link), &exhaustive);
         }
         // the pruned descent never evaluates more than the exhaustive count
@@ -167,7 +167,7 @@ proptest! {
         degenerate in any::<bool>(),
     ) {
         let space = make_space(&blocks, degenerate);
-        let whole = IncrementalSearch::over_space(&space);
+        let whole = SearchPlan::new(&space).frontier().clone();
         let committed: Vec<usize> = space
             .blocks()
             .iter()
@@ -179,9 +179,7 @@ proptest! {
             let link = make_link(rate);
             prop_assert_eq!(whole.best_analysis(&space, &link), space.best(&link));
             let chain_best = held.best_analysis(&space, &link).unwrap();
-            prop_assert_eq!(&chain_best, &legacy_best_cut_held(&space, &link, &committed));
-            // and the public wrapper is the same thin path
-            prop_assert_eq!(&space.best_cut_held(&link, &committed), &chain_best);
+            prop_assert_eq!(&chain_best, &legacy_held_cut_loop(&space, &link, &committed));
         }
     }
 
@@ -281,12 +279,16 @@ fn frontier_is_memoized_and_digest_tagged() {
         first, second,
         "second call must reuse the memoized frontier"
     );
-    assert_eq!(plan.frontier().space_digest(), plan.digest());
     assert_eq!(
-        plan.digest(),
+        plan.frontier().space_digest(),
         incam_core::explore::space_digest(&space),
-        "plan digest is the space digest"
+        "the frontier is tagged with its space's digest"
     );
+    // a clone re-ranks on its own, after the plan is gone
+    let owned = plan.frontier().clone();
+    drop(plan);
+    let link = make_link(40);
+    assert_eq!(owned.best_analysis(&space, &link), space.best(&link));
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! simulation consumes period by period.
 
 use incam_rng::rngs::StdRng;
-use incam_rng::{Rng, SeedableRng};
+use incam_rng::{Digest, Rng, SeedableRng};
 
 /// Parameters of an RF brownout process.
 ///
@@ -190,18 +190,12 @@ impl BrownoutTrace {
     /// Order-sensitive 64-bit digest (FNV-1a over the availability bits
     /// and residual factor) for cheap byte-identity checks.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = Digest::new();
         for &up in &self.available {
-            mix(u8::from(up));
+            h.write(&[u8::from(up)]);
         }
-        for byte in self.residual_power.to_bits().to_le_bytes() {
-            mix(byte);
-        }
-        h
+        h.write_f64(self.residual_power);
+        h.finish()
     }
 }
 

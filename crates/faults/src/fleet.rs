@@ -20,6 +20,7 @@
 //! trace, so golden tests can pin the whole derivation with one number.
 
 use crate::gilbert::{GilbertElliott, LinkSlot, LinkTrace};
+use incam_rng::Digest;
 
 /// Derives camera `camera_id`'s private sub-seed from the fleet seed.
 ///
@@ -89,14 +90,11 @@ impl TracePool {
     /// Order-sensitive digest folding every member trace — pins the
     /// whole pool derivation with one number.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Digest::new();
         for trace in &self.traces {
-            for byte in trace.digest().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            h.write_u64(trace.digest());
         }
-        h
+        h.finish()
     }
 }
 

@@ -18,7 +18,7 @@
 //! ```
 
 use incam_rng::rngs::StdRng;
-use incam_rng::{Rng, SeedableRng};
+use incam_rng::{Digest, Rng, SeedableRng};
 
 /// Parameters of a Gilbert–Elliott channel.
 ///
@@ -271,16 +271,13 @@ impl LinkTrace {
     /// byte-identical iff their digests and lengths match (FNV-1a over
     /// the packed slot states).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Digest::new();
         for s in &self.slots {
             let packed =
                 u64::from(s.bad) | (u64::from(s.lost) << 1) | (s.goodput.to_bits() & !0b11) << 2;
-            for byte in packed.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            h.write_u64(packed);
         }
-        h
+        h.finish()
     }
 }
 

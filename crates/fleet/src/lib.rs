@@ -22,9 +22,9 @@
 //! [`sim::FleetSim`] drives [`CameraProfile`]s (exported by `incam-vr`
 //! and `incam-wispcam` as `fleet_profile()`) against those resources,
 //! derives per-camera channel conditions from one seed via
-//! [`incam_faults::fleet::TracePool`], and re-selects cuts through
-//! [`PipelineSpace::best_cut_held`](incam_core::explore::PipelineSpace::best_cut_held)
-//! — the same entry point as `vr::degrade`'s adaptive-cut policy. The
+//! [`incam_faults::fleet::TracePool`], and re-selects cuts by re-ranking
+//! [`IncrementalSearch::over_held_cuts`](incam_core::explore::IncrementalSearch::over_held_cuts)
+//! — the same search as `vr::degrade`'s adaptive-cut policy. The
 //! result is a [`FleetReport`] of pure counters whose digest is
 //! byte-stable across runs, hosts, and `INCAM_THREADS` settings.
 //!

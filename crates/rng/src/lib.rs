@@ -1,6 +1,6 @@
 //! Hermetic deterministic substrate for the incam workspace.
 //!
-//! Three things live here, and the whole workspace builds offline because
+//! Four things live here, and the whole workspace builds offline because
 //! of them:
 //!
 //! 1. **A deterministic PRNG** ([`Xoshiro256PlusPlus`], seeded through
@@ -15,6 +15,9 @@
 //! 3. **A bench harness** ([`mod@bench`]): warmup, N timed iterations,
 //!    median/MAD statistics, and `BENCH_*.json` output for trajectory
 //!    tracking.
+//! 4. **A digest** ([`Digest`], 64-bit FNV-1a): the one hash every
+//!    pinned report, trace and kernel digest in the workspace goes
+//!    through.
 //!
 //! The crate has **zero dependencies** — not even on the rest of the
 //! workspace — so every other crate can depend on it, in any build mode,
@@ -40,11 +43,13 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+mod digest;
 mod distr;
 pub mod prop;
 pub mod seq;
 mod xoshiro;
 
+pub use digest::Digest;
 pub use distr::{SampleRange, SampleUniform, StandardSample};
 pub use xoshiro::{SplitMix64, Xoshiro256PlusPlus};
 

@@ -171,7 +171,8 @@ impl VrModel {
     pub fn fig10(&self, link: &Link) -> Vec<Fig10Row> {
         let space = self.binding_space();
         space
-            .explore_where(link, PipelineConfig::paper_coupling)
+            .explore(link)
+            .filter(|analysis| PipelineConfig::paper_coupling(&analysis.config))
             .map(|analysis| {
                 let config = PipelineConfig::from_configuration(&analysis.config);
                 Fig10Row::from_analysis(&config, &analysis)

@@ -16,7 +16,7 @@
 use crate::backend::DepthBackend;
 use core::fmt;
 use incam_core::block::{BlockSpec, DataTransform};
-use incam_core::explore::{Binding, BlockSpace, Configuration, PipelineSpace, SearchPlan};
+use incam_core::explore::{Binding, BlockSpace, Configuration, PipelineSpace};
 use incam_core::pipeline::Source;
 use incam_core::units::{Bytes, Fps};
 
@@ -74,16 +74,8 @@ impl PipelineConfig {
     /// enumeration of the VR space under [`PipelineConfig::paper_coupling`]
     /// (cut-major, binding indices in [`DepthBackend::ALL`] order —
     /// exactly how Fig. 10 arranges its bars).
-    ///
-    /// The set routes through [`SearchPlan::distinct_configurations`],
-    /// the engine's unpruned passthrough, deliberately: the shape space
-    /// carries placeholder costs under which B3's and B4's three
-    /// backend bindings are cost-identical, so dominance pruning would
-    /// collapse the figure's backend axis to one representative. The
-    /// paper set is a *view* of the space, not a search over it.
     pub fn paper_set() -> Vec<PipelineConfig> {
-        let space = Self::shape_space();
-        SearchPlan::new(&space)
+        Self::shape_space()
             .distinct_configurations()
             .filter(Self::paper_coupling)
             .map(|c| Self::from_configuration(&c))

@@ -154,8 +154,8 @@ pub fn run_policy(
             // `IncrementalSearch` over the held-cut chain, the same
             // link-only re-ranking the fleet simulator's per-camera
             // re-selection uses; re-ranking a committed frontier returns
-            // byte-identical winners to the old from-scratch
-            // `best_cut_held` loop (proptested in incam-core).
+            // byte-identical winners to a from-scratch loop over the
+            // held cuts (proptested in incam-core).
             let degraded = link.degraded(scenario.observed_goodput());
             let idx = backend.index();
             let space = model.binding_space();

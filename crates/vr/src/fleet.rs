@@ -10,8 +10,8 @@
 //! The profile boots at **cut 0** (raw offload): on an uncontended
 //! 25 GbE link that is a defensible design, and it gives the fleet's
 //! online re-search the same decision `vr::degrade`'s adaptive-cut
-//! policy makes per rig — both go through
-//! [`PipelineSpace::best_cut_held`](incam_core::explore::PipelineSpace::best_cut_held),
+//! policy makes per rig — both re-rank the held-cut chain of
+//! [`IncrementalSearch::over_held_cuts`](incam_core::explore::IncrementalSearch::over_held_cuts),
 //! so the single-rig policy and the fleet simulator cannot diverge.
 
 use crate::analysis::VrModel;
@@ -42,6 +42,7 @@ pub fn fleet_profile(backend: DepthBackend) -> CameraProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incam_core::explore::IncrementalSearch;
 
     #[test]
     fn profile_is_valid_for_every_backend() {
@@ -62,19 +63,21 @@ mod tests {
 
     #[test]
     fn fleet_re_search_agrees_with_the_degrade_policy_search() {
-        // the fleet path and vr::degrade's adaptive cut share
-        // best_cut_held; pin that the profile feeds it the same
+        // the fleet path and vr::degrade's adaptive cut share the
+        // held-cut search; pin that the profile feeds it the same
         // committed bindings the policy uses
-        let model = VrModel::paper_default();
+        let policy_space = VrModel::paper_default().binding_space();
         for backend in [DepthBackend::Fpga, DepthBackend::Gpu, DepthBackend::Cpu] {
             let p = fleet_profile(backend);
+            let idx = backend.index();
+            let fleet = IncrementalSearch::over_held_cuts(&p.space, &p.committed);
+            let policy = IncrementalSearch::over_held_cuts(&policy_space, &[0, 0, idx, idx]);
             for goodput in [1.0, 0.3, 0.05] {
                 let link = p.uplink.degraded(goodput);
-                let fleet_cut = p.space.best_cut_held(&link, &p.committed).config.cut();
-                let idx = backend.index();
-                let policy_cut = model
-                    .binding_space()
-                    .best_cut_held(&link, &[0, 0, idx, idx])
+                let fleet_cut = fleet.best_analysis(&p.space, &link).unwrap().config.cut();
+                let policy_cut = policy
+                    .best_analysis(&policy_space, &link)
+                    .unwrap()
                     .config
                     .cut();
                 assert_eq!(fleet_cut, policy_cut);

@@ -50,6 +50,8 @@ pub fn fleet_profile() -> CameraProfile {
 mod tests {
     use super::*;
     use incam_core::block::Backend;
+    use incam_core::explore::IncrementalSearch;
+    use incam_core::link::Link;
 
     #[test]
     fn profile_is_valid_and_all_asic() {
@@ -69,13 +71,11 @@ mod tests {
         // at full goodput the verdict cut already wins on this link; the
         // invariant that matters for the fleet is monotonicity: degrading
         // the link never moves the cut *out* of camera
-        let mut last = p.space.best_cut_held(&p.uplink, &p.committed).config.cut();
+        let held = IncrementalSearch::over_held_cuts(&p.space, &p.committed);
+        let cut_at = |link: &Link| held.best_analysis(&p.space, link).unwrap().config.cut();
+        let mut last = cut_at(&p.uplink);
         for goodput in [0.5, 0.1, 0.01] {
-            let cut = p
-                .space
-                .best_cut_held(&p.uplink.degraded(goodput), &p.committed)
-                .config
-                .cut();
+            let cut = cut_at(&p.uplink.degraded(goodput));
             assert!(cut >= last, "cut moved out of camera: {cut} < {last}");
             last = cut;
         }

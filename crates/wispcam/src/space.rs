@@ -25,9 +25,7 @@ use crate::pipeline::FrameOutcome;
 use crate::radio::BackscatterRadio;
 use crate::sensor::ImageSensor;
 use incam_core::block::{Backend, BlockSpec, DataTransform};
-use incam_core::explore::{
-    Binding, BlockSpace, ConfigAnalysis, Configuration, PipelineSpace, SearchPlan,
-};
+use incam_core::explore::{Binding, BlockSpace, ConfigAnalysis, Configuration, PipelineSpace};
 use incam_core::pipeline::Source;
 use incam_core::units::{Bytes, Fps, Joules, Watts};
 
@@ -194,17 +192,12 @@ impl FaSpacePoint {
 /// Evaluates every distinct configuration of `space` over the
 /// backscatter uplink at `capture_rate` — the case study's sub-mW sweep,
 /// in enumeration order.
-///
-/// The sweep routes through [`SearchPlan::explore`], the engine's
-/// exhaustive passthrough: this is a view layer that prints every
-/// configuration, dominated or not, so pruning must not apply (and the
-/// pinned `fa-space` table stays byte-identical).
 pub fn submw_sweep(
     space: &PipelineSpace,
     radio: &BackscatterRadio,
     capture_rate: Fps,
 ) -> Vec<FaSpacePoint> {
-    SearchPlan::new(space)
+    space
         .explore(radio.link())
         .map(|analysis| {
             let radio_energy = radio.transmit_energy(analysis.upload);

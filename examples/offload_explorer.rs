@@ -7,7 +7,7 @@
 //! cargo run --release --example offload_explorer
 //! ```
 
-use incam::core::explore::pareto_frontier;
+use incam::core::explore::{first_best, pareto_frontier};
 use incam::core::link::Link;
 use incam::core::report::{sig3, Table};
 use incam::core::units::BytesPerSec;
@@ -24,26 +24,23 @@ fn main() {
     // ---- sweep 0: the whole configuration space on the paper's uplink ---
     let space = model.binding_space();
     let link25 = Link::ethernet_25g();
+    let analyses: Vec<_> = space
+        .explore(&link25)
+        .filter(|a| PipelineConfig::paper_coupling(&a.config))
+        .collect();
     println!(
         "VR configuration space: {} full / {} distinct configurations, {} under the paper's coupling\n",
         space.cardinality(),
         space.distinct_cardinality(),
-        space
-            .explore_where(&link25, PipelineConfig::paper_coupling)
-            .count()
+        analyses.len()
     );
-    let best = space
-        .best_where(&link25, PipelineConfig::paper_coupling)
-        .expect("the VR space is non-empty");
+    let best = first_best(analyses.iter(), |a| a.total()).expect("the VR space is non-empty");
     println!(
         "best configuration on 25GbE: {} at {} FPS",
         PipelineConfig::from_configuration(&best.config),
         sig3(best.total().fps())
     );
     println!("Pareto frontier (total FPS vs upload):");
-    let analyses: Vec<_> = space
-        .explore_where(&link25, PipelineConfig::paper_coupling)
-        .collect();
     for a in pareto_frontier(analyses) {
         println!(
             "  {:<14} {} FPS, {:.1} MB up",

@@ -1,7 +1,7 @@
-//! Quickstart: build an in-camera pipeline, analyze every offload cut,
-//! find the configuration that meets a real-time target, then widen the
-//! search to a full configuration space with candidate bindings per
-//! block.
+//! Quickstart: build an in-camera pipeline, analyze every offload cut
+//! (a fixed pipeline is the configuration space with one binding per
+//! block), find the cut that meets a real-time target, then widen the
+//! search to candidate bindings per block.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -10,7 +10,6 @@
 use incam::core::block::{Backend, BlockSpec, DataTransform};
 use incam::core::explore::{pareto_frontier, Binding, BlockSpace, PipelineSpace};
 use incam::core::link::Link;
-use incam::core::offload::{analyze_cuts, best_cut};
 use incam::core::pipeline::{Pipeline, Source, Stage};
 use incam::core::report::{sig3, Table};
 use incam::core::units::{Bytes, Fps};
@@ -50,10 +49,11 @@ fn main() {
         "comm FPS",
         "total FPS",
     ]);
-    for cut in analyze_cuts(&pipeline, &link) {
+    let cuts = PipelineSpace::from(&pipeline);
+    for cut in cuts.explore(&link) {
         table.row_owned(vec![
             cut.label.clone(),
-            cut.upload_size.human(),
+            cut.upload.human(),
             sig3(cut.compute.fps()),
             sig3(cut.communication.fps()),
             sig3(cut.total().fps()),
@@ -61,12 +61,12 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let best = best_cut(&pipeline, &link);
+    let best = cuts.best(&link).expect("cut 0 always exists");
     println!(
         "best cut: {} at {} FPS ({})",
         best.label,
         sig3(best.total().fps()),
-        best.binding()
+        best.constraint()
     );
     let target = Fps::new(30.0);
     println!(

@@ -3,9 +3,9 @@
 
 use incam::bilateral::grid::{BilateralGrid, GridParams};
 use incam::core::block::{Backend, BlockSpec, DataTransform};
-use incam::core::explore::{pareto_frontier, Binding, BlockSpace, PipelineSpace};
+use incam::core::explore::{pareto_frontier, Binding, BlockSpace, Configuration, PipelineSpace};
 use incam::core::link::Link;
-use incam::core::offload::{analyze_cuts, best_cut};
+use incam::core::offload::cut_label;
 use incam::core::pipeline::{Pipeline, Source, Stage};
 use incam::core::units::{Bytes, BytesPerSec, Fps, Joules};
 use incam::imaging::image::{GrayImage, Image};
@@ -14,12 +14,13 @@ use incam::nn::quant::QFormat;
 use incam_rng::prelude::*;
 
 fn arbitrary_pipeline() -> impl Strategy<Value = Pipeline> {
-    let stage = (0.1f64..8.0, 1.0f64..500.0).prop_map(|(scale, fps)| {
+    let stage = (0.1f64..8.0, 1.0f64..500.0, 0.0f64..10.0).prop_map(|(scale, fps, uj)| {
         Stage::new(
             BlockSpec::core("b", DataTransform::Scale(scale)),
             Backend::Cpu,
             Fps::new(fps),
         )
+        .with_energy_per_frame(Joules::from_micro(uj))
     });
     (
         1.0f64..1e8,
@@ -111,12 +112,35 @@ proptest! {
     #[test]
     fn best_cut_is_argmax(p in arbitrary_pipeline(), gbps in 0.01f64..100.0) {
         let link = Link::new("l", BytesPerSec::from_gbps(gbps), 0.9);
-        let cuts = analyze_cuts(&p, &link);
-        let best = best_cut(&p, &link);
-        for cut in &cuts {
+        let space = PipelineSpace::from(&p);
+        let best = space.best(&link).unwrap();
+        for cut in space.explore(&link) {
             prop_assert!(cut.total().fps() <= best.total().fps() + 1e-9);
             let expected = cut.compute.fps().min(cut.communication.fps());
             prop_assert!((cut.total().fps() - expected).abs() < 1e-9);
+        }
+    }
+
+    /// A fixed pipeline's one-binding space realizes the pipeline back
+    /// and reproduces its own per-cut label, compute, communication,
+    /// upload and energy.
+    #[test]
+    fn pipeline_space_reproduces_the_pipeline(
+        p in arbitrary_pipeline(),
+        gbps in 0.01f64..100.0,
+    ) {
+        let link = Link::new("l", BytesPerSec::from_gbps(gbps), 0.9);
+        let space = PipelineSpace::from(&p);
+        prop_assert_eq!(&space.realize(&Configuration::new(vec![0; p.len()], p.len())), &p);
+        let rows: Vec<_> = space.explore(&link).collect();
+        prop_assert_eq!(rows.len(), p.len() + 1);
+        for (k, row) in rows.iter().enumerate() {
+            prop_assert_eq!(&row.config, &Configuration::new(vec![0; p.len()], k));
+            prop_assert_eq!(&row.label, &cut_label(&p, k));
+            prop_assert_eq!(row.compute, p.compute_fps_through(k));
+            prop_assert_eq!(row.communication, link.upload_fps(p.data_after(k)));
+            prop_assert_eq!(row.upload, p.data_after(k));
+            prop_assert_eq!(row.energy, p.energy_per_frame_through(k));
         }
     }
 
