@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local reproduction of the CI gates (.github/workflows/ci.yml).
+# The CI gates: .github/workflows/ci.yml runs this script, so it is the
+# one definition of what CI checks.
 #
 # Every step is offline by construction: the workspace has zero registry
 # dependencies (see README "Hermetic builds"). Run before pushing.

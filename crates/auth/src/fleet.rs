@@ -1,6 +1,6 @@
 //! Fleet adapter: the verify camera as a [`CameraProfile`] plus a
 //! deterministic verify-load driver — thousands of cameras issuing
-//! requests into one shared service, with per-camera SLO counters.
+//! requests into one shared service, with a [`ServiceReport`] per camera.
 //!
 //! The driver interleaves cameras round-robin onto the service's
 //! arrival ticks, keys each camera's link faults to its own
@@ -12,7 +12,6 @@
 //! pins the whole run.
 
 use crate::align::{align_face, EyeLandmarks};
-use crate::chaos::PERIODS_PER_FRAME;
 use crate::embed::EmbeddingHead;
 use crate::gallery::Gallery;
 use crate::service::{
@@ -22,7 +21,7 @@ use crate::space::{verify_binding_space, verify_uplink, AuthBlockCosts, BIND_ASI
 use incam_core::fleet::CameraProfile;
 use incam_core::report::{sig3, Table};
 use incam_core::runtime::{ComputeCondition, FaultOracle, LinkCondition};
-use incam_core::units::{Fps, Joules, Seconds};
+use incam_core::units::{Fps, Seconds};
 use incam_faults::brownout::BrownoutTrace;
 use incam_faults::compute::ComputeFaultModel;
 use incam_faults::fleet::TracePool;
@@ -37,6 +36,11 @@ pub const FLEET_HEAD_SEED: u64 = 2017;
 
 /// Retry attempts a frame's fault-trace slots must cover.
 const ATTEMPT_STRIDE: u64 = 4;
+
+/// Brownout periods advanced per frame; with the attempt stride of 4
+/// this keeps power epochs coarser than retry slots, as on the real
+/// harvester.
+const PERIODS_PER_FRAME: u64 = 1;
 
 /// The verify camera as a fleet profile: all-ASIC committed bindings,
 /// booting fully local (verdict upload — the energy-optimal cut on the
@@ -133,44 +137,6 @@ impl FleetLoad {
     }
 }
 
-/// Per-camera SLO counters over one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CameraSlo {
-    /// Camera id.
-    pub camera: u64,
-    /// Requests the camera issued.
-    pub requests: u64,
-    /// Requests accepted.
-    pub accepts: u64,
-    /// Requests that fell back.
-    pub fallbacks: u64,
-    /// Served requests (accept or reject) inside their deadline.
-    pub deadline_hits: u64,
-    /// Camera energy spent across all its requests.
-    pub energy: Joules,
-}
-
-impl CameraSlo {
-    /// Deadline-hit rate over issued requests.
-    pub fn deadline_hit_rate(&self) -> f64 {
-        self.deadline_hits as f64 / self.requests.max(1) as f64
-    }
-
-    /// Fallback rate over issued requests.
-    pub fn fallback_rate(&self) -> f64 {
-        self.fallbacks as f64 / self.requests.max(1) as f64
-    }
-
-    /// Energy per accepted verify (infinite with no accepts).
-    pub fn energy_per_accept(&self) -> Joules {
-        if self.accepts == 0 {
-            Joules::new(f64::INFINITY)
-        } else {
-            self.energy / self.accepts as f64
-        }
-    }
-}
-
 /// Outcome of one fleet verify run.
 #[derive(Debug, Clone)]
 pub struct FleetVerifyReport {
@@ -178,8 +144,9 @@ pub struct FleetVerifyReport {
     pub label: String,
     /// Aggregate service counters.
     pub service: ServiceReport,
-    /// Per-camera SLO counters, by camera id.
-    pub slos: Vec<CameraSlo>,
+    /// Per-camera counters, indexed by camera id. Retries and breaker
+    /// trips are service-wide, so they stay zero here.
+    pub slos: Vec<ServiceReport>,
     /// Genuine requests accepted / issued (recall numerator/denominator).
     pub genuine: (u64, u64),
     /// Impostor requests accepted / issued (false-accept counters).
@@ -196,11 +163,11 @@ impl FleetVerifyReport {
         h.write_u64(self.genuine.1);
         h.write_u64(self.impostor.0);
         h.write_u64(self.impostor.1);
-        for slo in &self.slos {
-            h.write_u64(slo.camera);
+        for (camera, slo) in self.slos.iter().enumerate() {
+            h.write_u64(camera as u64);
             h.write_u64(slo.requests);
             h.write_u64(slo.accepts);
-            h.write_u64(slo.fallbacks);
+            h.write_u64(slo.total_fallbacks());
             h.write_u64(slo.deadline_hits);
         }
         h.finish()
@@ -232,7 +199,7 @@ impl FleetVerifyReport {
             self.impostor.0,
             self.impostor.1
         ));
-        let mut hit_rates: Vec<f64> = self.slos.iter().map(CameraSlo::deadline_hit_rate).collect();
+        let mut hit_rates: Vec<f64> = self.slos.iter().map(deadline_hit_rate).collect();
         hit_rates.sort_by(|a, b| a.total_cmp(b));
         if let (Some(min), Some(max)) = (hit_rates.first(), hit_rates.last()) {
             let mean = hit_rates.iter().sum::<f64>() / hit_rates.len() as f64;
@@ -252,24 +219,25 @@ impl FleetVerifyReport {
             "hit-rate",
             "energy/accept",
         ]);
-        for slo in self.slos.iter().take(8) {
+        for (camera, slo) in self.slos.iter().enumerate().take(8) {
             table.row_owned(vec![
-                slo.camera.to_string(),
+                camera.to_string(),
                 slo.requests.to_string(),
                 slo.accepts.to_string(),
-                slo.fallbacks.to_string(),
-                sig3(slo.deadline_hit_rate()),
-                if slo.accepts == 0 {
-                    "inf".into()
-                } else {
-                    slo.energy_per_accept().human()
-                },
+                slo.total_fallbacks().to_string(),
+                sig3(deadline_hit_rate(slo)),
+                slo.energy_per_accept().human(),
             ]);
         }
         out.push_str(&table.render());
         out.push_str(&format!("fleet digest: {:016x}\n", self.digest()));
         out
     }
+}
+
+/// Deadline-hit rate over issued requests.
+fn deadline_hit_rate(report: &ServiceReport) -> f64 {
+    report.deadline_hits as f64 / report.requests.max(1) as f64
 }
 
 /// Per-camera link traces + shared compute/brownout faults behind one
@@ -467,7 +435,7 @@ pub fn request_trace(load: &FleetLoad, pool: &ProbePool) -> Vec<(VerifyRequest, 
 
 /// Drives a full fleet verify run: builds the service, renders the
 /// probe pool, serves the trace against the fleet oracle, and
-/// aggregates per-camera SLOs.
+/// aggregates a report per camera.
 pub fn drive_fleet(
     label: &str,
     load: &FleetLoad,
@@ -484,34 +452,13 @@ pub fn drive_fleet(
     let requests: Vec<VerifyRequest> = trace.iter().map(|(r, _)| r.clone()).collect();
     let run = service.serve(&requests, &oracle);
 
-    let mut slos: Vec<CameraSlo> = (0..load.cameras)
-        .map(|camera| CameraSlo {
-            camera,
-            requests: 0,
-            accepts: 0,
-            fallbacks: 0,
-            deadline_hits: 0,
-            energy: Joules::ZERO,
-        })
-        .collect();
+    let mut slos = vec![ServiceReport::default(); load.cameras as usize];
     let mut genuine = (0u64, 0u64);
     let mut impostor = (0u64, 0u64);
     for ((request, is_genuine), served) in trace.iter().zip(&run.served) {
         let slo = &mut slos[request.camera as usize];
         slo.requests += 1;
-        slo.energy += served.energy;
-        match served.verdict {
-            crate::service::Verdict::Accept { .. } => {
-                slo.accepts += 1;
-                slo.deadline_hits += 1;
-            }
-            crate::service::Verdict::Reject { .. } => {
-                slo.deadline_hits += 1;
-            }
-            crate::service::Verdict::Fallback(_) => {
-                slo.fallbacks += 1;
-            }
-        }
+        slo.record(served);
         let bucket = if *is_genuine {
             &mut genuine
         } else {
@@ -639,19 +586,52 @@ mod tests {
 
     #[test]
     fn slo_counters_partition_requests() {
-        let report = drive_fleet(
-            "slo",
-            &small_load(),
-            &FleetFaults::chaos(),
-            local_plan(),
-            ServiceConfig::experiment_default(),
-            11,
-        );
-        for slo in &report.slos {
-            assert_eq!(slo.requests, small_load().requests_per_camera);
-            assert!(slo.accepts + slo.fallbacks <= slo.requests);
+        // long enough for chaos to force fallbacks (see above)
+        let load = FleetLoad {
+            requests_per_camera: 40,
+            ..small_load()
+        };
+        for seed in [11, 2017] {
+            let report = drive_fleet(
+                "slo",
+                &load,
+                &FleetFaults::chaos(),
+                local_plan(),
+                ServiceConfig::experiment_default(),
+                seed,
+            );
+            let mut sum = ServiceReport::default();
+            for slo in &report.slos {
+                assert_eq!(slo.requests, load.requests_per_camera);
+                assert!(slo.conserves());
+                assert_eq!(
+                    (slo.breaker_trips, slo.compute_retries, slo.link_retries),
+                    (0, 0, 0),
+                    "retries and trips are service-wide"
+                );
+                sum.requests += slo.requests;
+                sum.accepts += slo.accepts;
+                sum.rejects += slo.rejects;
+                for (total, f) in sum.fallbacks.iter_mut().zip(slo.fallbacks) {
+                    *total += f;
+                }
+                sum.deadline_hits += slo.deadline_hits;
+                sum.energy += slo.energy;
+            }
+            let service = &report.service;
+            assert_eq!(sum.requests, service.requests, "seed {seed}");
+            assert_eq!(sum.accepts, service.accepts, "seed {seed}");
+            assert_eq!(sum.rejects, service.rejects, "seed {seed}");
+            assert_eq!(sum.fallbacks, service.fallbacks, "seed {seed}");
+            assert_eq!(sum.deadline_hits, service.deadline_hits, "seed {seed}");
+            assert!(
+                service.total_fallbacks() > 0,
+                "seed {seed}: chaos never bit"
+            );
+            // the service sums energy in finish order, the cameras in
+            // trace order
+            let (a, b) = (sum.energy.joules(), service.energy.joules());
+            assert!((a - b).abs() <= 1e-12 * b.abs(), "seed {seed}: {a} vs {b}");
         }
-        let total: u64 = report.slos.iter().map(|s| s.requests).sum();
-        assert_eq!(total, small_load().total_requests());
     }
 }

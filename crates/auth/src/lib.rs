@@ -20,17 +20,16 @@
 //! - [`embed`] — window → unit-norm embedding ([`incam_nn`] batch path)
 //! - [`gallery`] — enroll / update / revoke, max-cosine matching
 //! - [`breaker`] — deterministic circuit breaker on the tick schedule
-//! - [`chaos`] — link × compute × brownout faults as one oracle
 //! - [`service`] — the verify loop: admission → stages → verdict
 //! - [`space`] — stage costs registered with [`incam_core`]'s explorer
-//! - [`fleet`] — camera profile + fleet-scale verify-load driver
+//! - [`fleet`] — camera profile, the verify fault oracle (link ×
+//!   compute × brownout) and the fleet-scale verify-load driver
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod align;
 pub mod breaker;
-pub mod chaos;
 pub mod embed;
 pub mod fleet;
 pub mod gallery;
@@ -39,7 +38,6 @@ pub mod space;
 
 pub use align::{align_face, AlignError, EyeLandmarks, SimilarityTransform};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::VerifyChaosOracle;
 pub use embed::{Embedding, EmbeddingHead};
 pub use gallery::{Gallery, GalleryError};
 pub use service::{

@@ -21,7 +21,7 @@
 
 use crate::align::{align_face, EyeLandmarks};
 use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
-use crate::embed::EmbeddingHead;
+use crate::embed::{EmbedError, Embedding, EmbeddingHead};
 use crate::gallery::Gallery;
 use incam_core::link::Link;
 use incam_core::report::{sig3, Table};
@@ -269,7 +269,7 @@ impl ServiceConfig {
 
 /// Aggregate counters for one service run. All integers are exact;
 /// the digest pins them byte-for-byte in golden tests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceReport {
     /// Requests offered to the service.
     pub requests: u64,
@@ -292,6 +292,25 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
+    /// Counts one finished request: its verdict and its energy. The one
+    /// rule turning verdicts into counters, for the whole service and for
+    /// each camera. It leaves `requests` alone, so a request that is
+    /// offered but never finished still breaks [`ServiceReport::conserves`].
+    pub(crate) fn record(&mut self, served: &Served) {
+        match served.verdict {
+            Verdict::Accept { .. } => {
+                self.accepts += 1;
+                self.deadline_hits += 1;
+            }
+            Verdict::Reject { .. } => {
+                self.rejects += 1;
+                self.deadline_hits += 1;
+            }
+            Verdict::Fallback(reason) => self.fallbacks[reason.index()] += 1,
+        }
+        self.energy += served.energy;
+    }
+
     /// Total fallbacks across all reasons.
     pub fn total_fallbacks(&self) -> u64 {
         self.fallbacks.iter().sum()
@@ -352,11 +371,7 @@ impl ServiceReport {
         t.row_owned(vec!["energy".into(), self.energy.human()]);
         t.row_owned(vec![
             "energy/accept".into(),
-            if self.accepts == 0 {
-                "inf".into()
-            } else {
-                self.energy_per_accept().human()
-            },
+            self.energy_per_accept().human(),
         ]);
         t.row_owned(vec!["digest".into(), format!("{:016x}", self.digest())]);
         t.render()
@@ -435,14 +450,7 @@ impl VerifyService {
         let mut served: Vec<Option<Served>> = vec![None; requests.len()];
         let mut report = ServiceReport {
             requests: requests.len() as u64,
-            accepts: 0,
-            rejects: 0,
-            fallbacks: [0; FALLBACK_KINDS],
-            breaker_trips: 0,
-            compute_retries: 0,
-            link_retries: 0,
-            deadline_hits: 0,
-            energy: Joules::ZERO,
+            ..Default::default()
         };
         // at most one partial batch exists, so one flush timer suffices
         let mut flush_timer: Option<(u64, u64)> = None; // (epoch, due tick)
@@ -649,35 +657,16 @@ impl VerifyService {
             match self.head.embed_batch(&windows) {
                 Ok(embeddings) => {
                     for ((slot, _), embedding) in functional.iter().zip(embeddings) {
-                        let idx = outcomes[*slot].0;
-                        let user = requests[idx].user;
-                        let verdict = match self.gallery.match_score(user, &embedding) {
-                            Ok(score) if score >= self.config.threshold => {
-                                Verdict::Accept { score }
-                            }
-                            Ok(score) => Verdict::Reject { score },
-                            Err(_) => Verdict::Fallback(FallbackReason::EmbedFailed),
-                        };
-                        outcomes[*slot].1.verdict = verdict;
+                        let user = requests[outcomes[*slot].0].user;
+                        outcomes[*slot].1.verdict = self.judge(user, Ok(embedding));
                     }
                 }
                 Err(_) => {
                     // one degenerate window failed the batch call; score
                     // the rest individually so it poisons only itself
                     for (slot, window) in &functional {
-                        let idx = outcomes[*slot].0;
-                        let user = requests[idx].user;
-                        let verdict = match self.head.embed(window) {
-                            Err(_) => Verdict::Fallback(FallbackReason::EmbedFailed),
-                            Ok(embedding) => match self.gallery.match_score(user, &embedding) {
-                                Ok(score) if score >= self.config.threshold => {
-                                    Verdict::Accept { score }
-                                }
-                                Ok(score) => Verdict::Reject { score },
-                                Err(_) => Verdict::Fallback(FallbackReason::EmbedFailed),
-                            },
-                        };
-                        outcomes[*slot].1.verdict = verdict;
+                        let user = requests[outcomes[*slot].0].user;
+                        outcomes[*slot].1.verdict = self.judge(user, self.head.embed(window));
                     }
                 }
             }
@@ -730,14 +719,17 @@ impl VerifyService {
             Ok(w) => w,
             Err(_) => return Verdict::Fallback(FallbackReason::AlignFailed),
         };
-        let embedding = match self.head.embed(&window) {
-            Ok(e) => e,
-            Err(_) => return Verdict::Fallback(FallbackReason::EmbedFailed),
-        };
-        match self.gallery.match_score(request.user, &embedding) {
-            Ok(score) if score >= self.config.threshold => Verdict::Accept { score },
-            Ok(score) => Verdict::Reject { score },
-            Err(_) => Verdict::Fallback(FallbackReason::EmbedFailed),
+        self.judge(request.user, self.head.embed(&window))
+    }
+
+    /// The scoring rule: a match against `user`'s templates at or above
+    /// the threshold accepts, a lower one rejects, and a failed embed or
+    /// match falls back.
+    fn judge(&self, user: u32, embedding: Result<Embedding, EmbedError>) -> Verdict {
+        match embedding.map(|e| self.gallery.match_score(user, &e)) {
+            Ok(Ok(score)) if score >= self.config.threshold => Verdict::Accept { score },
+            Ok(Ok(score)) => Verdict::Reject { score },
+            Ok(Err(_)) | Err(_) => Verdict::Fallback(FallbackReason::EmbedFailed),
         }
     }
 
@@ -857,20 +849,7 @@ impl VerifyService {
         served: &mut [Option<Served>],
         report: &mut ServiceReport,
     ) {
-        match outcome.verdict {
-            Verdict::Accept { .. } => {
-                report.accepts += 1;
-                report.deadline_hits += 1;
-            }
-            Verdict::Reject { .. } => {
-                report.rejects += 1;
-                report.deadline_hits += 1;
-            }
-            Verdict::Fallback(reason) => {
-                report.fallbacks[reason.index()] += 1;
-            }
-        }
-        report.energy += outcome.energy;
+        report.record(&outcome);
         served[idx] = Some(outcome);
     }
 }
@@ -962,6 +941,43 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn record_counts_each_verdict_with_its_energy() {
+        let mut report = ServiceReport::default();
+        let mut verdicts = vec![
+            Verdict::Accept { score: 0.95 },
+            Verdict::Reject { score: 0.5 },
+        ];
+        verdicts.extend(
+            [
+                FallbackReason::BreakerOpen,
+                FallbackReason::QueueFull,
+                FallbackReason::UnknownUser,
+                FallbackReason::AlignFailed,
+                FallbackReason::EmbedFailed,
+                FallbackReason::ComputeExhausted { stage: 1 },
+                FallbackReason::LinkLost,
+                FallbackReason::DeadlineMissed { stage: 2 },
+            ]
+            .map(Verdict::Fallback),
+        );
+        for (i, verdict) in verdicts.into_iter().enumerate() {
+            report.record(&Served {
+                verdict,
+                latency: Seconds::ZERO,
+                energy: Joules::from_micro((i + 1) as f64),
+            });
+        }
+        assert_eq!((report.accepts, report.rejects), (1, 1));
+        assert_eq!(report.fallbacks, [1; FALLBACK_KINDS]);
+        // only served requests (accept or reject) hit their deadline
+        assert_eq!(report.deadline_hits, 2);
+        assert!((report.energy.joules() - 55e-6).abs() < 1e-15);
+        // requests are offered by the caller, never by `record`
+        assert_eq!(report.requests, 0);
+        assert!(!report.conserves());
     }
 
     #[test]

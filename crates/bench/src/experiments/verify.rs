@@ -178,11 +178,7 @@ pub fn run(seed: u64, quick: bool) -> String {
                 report.service.total_fallbacks().to_string(),
                 precision(&report),
                 recall(&report),
-                if report.service.accepts == 0 {
-                    "inf".into()
-                } else {
-                    report.service.energy_per_accept().human()
-                },
+                report.service.energy_per_accept().human(),
             ]);
             reports.push(report);
         }

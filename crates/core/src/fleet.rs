@@ -93,7 +93,7 @@ impl CameraProfile {
 /// busy), delivered through the ingest tier, dropped on the link or at
 /// admission, or still in flight at the horizon — see
 /// [`FleetReport::conserves`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
     /// Scenario label.
     pub label: String,
@@ -381,24 +381,8 @@ mod tests {
     #[test]
     fn empty_report_has_safe_derived_metrics() {
         let r = FleetReport {
-            label: String::new(),
-            cameras: 0,
-            horizon_ticks: 0,
             ticks_per_sec: 1000,
-            frames_captured: 0,
-            frames_skipped: 0,
-            frames_admitted: 0,
-            frames_delivered: 0,
-            frames_dropped_link: 0,
-            frames_dropped_ingest: 0,
-            frames_in_flight: 0,
-            link_retries: 0,
-            re_searches: 0,
-            cut_changes: 0,
-            ingest_batches: 0,
-            energy_compute: Joules::ZERO,
-            energy_radio: Joules::ZERO,
-            cut_histogram: Vec::new(),
+            ..Default::default()
         };
         assert_eq!(r.throughput(), Fps::ZERO);
         assert_eq!(r.drop_rate(), 0.0);

@@ -207,13 +207,6 @@ fn unit_hash(key: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Why a frame was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DropCause {
-    Compute,
-    Link,
-}
-
 /// Outcome of running a pipeline against a fault oracle.
 ///
 /// All counters are exact integers and all derived figures are pure
@@ -371,7 +364,8 @@ impl<'a> Runtime<'a> {
         let mut completed = 0u64;
         let mut compute_retries = 0u64;
         let mut link_retries = 0u64;
-        let mut dropped: Vec<(u64, DropCause)> = Vec::new();
+        let mut frames_dropped_compute = 0u64;
+        let mut frames_dropped_link = 0u64;
         let mut backoff_time = Seconds::ZERO;
         let mut elapsed = Seconds::ZERO;
         let mut energy_total = Joules::ZERO;
@@ -382,7 +376,7 @@ impl<'a> Runtime<'a> {
         for frame in 0..frames {
             let mut frame_time = capture_time;
             let mut frame_backoff = Seconds::ZERO;
-            let mut drop_cause: Option<DropCause> = None;
+            let mut computed = true;
             energy_total += self.pipeline.source().capture_energy();
 
             // ---- compute phase: every in-camera stage, with retries ----
@@ -417,13 +411,14 @@ impl<'a> Runtime<'a> {
                 }
                 frame_time = frame_time.max(stage_time);
                 if !ok {
-                    drop_cause = Some(DropCause::Compute);
+                    frames_dropped_compute += 1;
+                    computed = false;
                     break;
                 }
             }
 
             // ---- communication phase: upload with retries ----
-            if drop_cause.is_none() {
+            if computed {
                 let mut upload_time = Seconds::ZERO;
                 let mut delivered = false;
                 for attempt in 0..self.policy.max_attempts {
@@ -449,24 +444,16 @@ impl<'a> Runtime<'a> {
                     }
                 }
                 frame_time = frame_time.max(upload_time.max(ideal_upload));
-                if !delivered {
-                    drop_cause = Some(DropCause::Link);
+                if delivered {
+                    completed += 1;
+                } else {
+                    frames_dropped_link += 1;
                 }
-            }
-
-            match drop_cause {
-                None => completed += 1,
-                Some(cause) => dropped.push((frame, cause)),
             }
             backoff_time += frame_backoff;
             elapsed += frame_time;
         }
 
-        let frames_dropped_compute = dropped
-            .iter()
-            .filter(|(_, c)| *c == DropCause::Compute)
-            .count() as u64;
-        let frames_dropped_link = dropped.len() as u64 - frames_dropped_compute;
         let effective_fps = if elapsed.secs() > 0.0 {
             Fps::new(completed as f64 / elapsed.secs())
         } else {

@@ -356,10 +356,14 @@ impl Joules {
         self.0 * 1e9
     }
 
-    /// Human-readable rendering with an SI prefix.
+    /// Human-readable rendering with an SI prefix. A non-finite energy
+    /// (such as energy per result with no results) prints as Rust prints
+    /// the float, with no unit: `inf`, `-inf` or `NaN`.
     pub fn human(self) -> String {
         let j = self.0.abs();
-        if j >= 1.0 {
+        if !j.is_finite() {
+            self.0.to_string()
+        } else if j >= 1.0 {
             format!("{:.3} J", self.0)
         } else if j >= 1e-3 {
             format!("{:.3} mJ", self.0 * 1e3)
@@ -595,6 +599,7 @@ mod tests {
         assert_eq!(Bytes::from_kib(2.0).human(), "2.00 KiB");
         assert_eq!(Watts::from_micro(320.0).human(), "320.000 uW");
         assert_eq!(Joules::from_nano(5.0).human(), "5.000 nJ");
+        assert_eq!(Joules::new(f64::INFINITY).human(), "inf");
     }
 
     #[test]

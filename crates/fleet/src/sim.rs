@@ -564,20 +564,8 @@ impl FleetSim {
             cameras: self.config.cameras,
             horizon_ticks: horizon,
             ticks_per_sec: self.config.ticks_per_sec,
-            frames_captured: 0,
-            frames_skipped: 0,
-            frames_admitted: 0,
-            frames_delivered: 0,
-            frames_dropped_link: 0,
-            frames_dropped_ingest: 0,
-            frames_in_flight: 0,
-            link_retries: 0,
-            re_searches: 0,
-            cut_changes: 0,
-            ingest_batches: 0,
-            energy_compute: Joules::ZERO,
-            energy_radio: Joules::ZERO,
             cut_histogram: vec![0; hist_len],
+            ..Default::default()
         }
     }
 }

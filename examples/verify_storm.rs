@@ -92,11 +92,7 @@ fn main() -> std::io::Result<()> {
                 sig3(r.genuine.0 as f64 / r.genuine.1.max(1) as f64),
                 r.impostor.0.to_string(),
                 r.service.link_retries.to_string(),
-                if r.service.accepts == 0 {
-                    "inf".into()
-                } else {
-                    r.service.energy_per_accept().human()
-                },
+                r.service.energy_per_accept().human(),
             ]);
         }
     }
