@@ -116,6 +116,15 @@ for exp in fig4c nn-topology pe-geometry bitwidth sigmoid fa-space fig7 fig9 fig
     repro_diff "$exp" --quick
 done
 
+step "committed transcripts (repro --all at seed 2017 vs results/*.txt)"
+# The determinism gates above only compare fresh runs with each other;
+# this one pins every committed experiment transcript to the code.
+cargo run --release --offline -p incam-bench --bin repro -- \
+    --all --seed 2017 --output "$tmpdir/transcripts" > /dev/null
+for f in "$tmpdir"/transcripts/*.txt; do
+    cmp "$f" "results/$(basename "$f")"
+done
+
 step "examples smoke (quickstart + offload_explorer vs committed transcripts)"
 cargo run --release --offline --example quickstart > "$tmpdir/quickstart.txt"
 cmp "$tmpdir/quickstart.txt" results/examples/quickstart.txt

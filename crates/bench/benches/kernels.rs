@@ -1,17 +1,17 @@
 //! Before/after microbenchmarks for the hot-kernel speed pass: each of
-//! the five reworked kernels (separable convolution, integral image,
-//! bilateral grid pipeline, Viola-Jones scan, batched MLP forward) is
-//! measured against the original formulation it replaced, which every
-//! crate keeps as a `*_reference` oracle. All pairs compute bit-identical
-//! outputs — only the wall clock differs.
+//! the six reworked kernels (separable convolution, integral image,
+//! bilateral grid pipeline, Viola-Jones scan, batched MLP forward, stereo
+//! block matching) is measured against the original formulation it
+//! replaced, which every crate keeps as a `*_reference` oracle. All pairs
+//! compute bit-identical outputs — only the wall clock differs.
 //!
 //! Runs pinned to one worker thread: single-thread throughput is the
-//! quantity the rework targets (and the recorded sweeps ran on a 1-core
-//! host where pool scaling cannot be demonstrated). Results land in
-//! `BENCH_kernels.json` (see `INCAM_BENCH_DIR`); `results/kernel-speed.txt`
-//! records the methodology.
+//! quantity the rework targets (pool scaling is the separate `parallel`
+//! bench's job). Results land in `BENCH_kernels.json` (see
+//! `INCAM_BENCH_DIR`); `results/kernel-speed.txt` records the methodology.
 
 use incam_bilateral::grid::{BilateralGrid, GridParams};
+use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::convolve::{convolve_separable, convolve_separable_reference, gaussian_kernel};
 use incam_imaging::image::GrayImage;
 use incam_imaging::integral::IntegralImage;
@@ -152,12 +152,39 @@ fn bench_nn(c: &mut Criterion) {
     group.finish();
 }
 
+/// Stereo block matching at the VR rig's per-camera size and B3 window
+/// (r = 2, D = 8): row-slice tiled window sums vs the original per-pixel
+/// clamped search.
+fn bench_block_match(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(24);
+    let scene = stereo_scene(128, 96, 8, 4, &mut rng);
+    let params = MatchParams {
+        max_disparity: 8,
+        block_radius: 2,
+    };
+    let mut group = c.benchmark_group("stereo");
+    group.bench_function(BenchmarkId::new("block_match_128x96", "after"), |b| {
+        single_thread(|| {
+            b.iter(|| block_match(black_box(&scene.left), black_box(&scene.right), &params))
+        });
+    });
+    group.bench_function(BenchmarkId::new("block_match_128x96", "before"), |b| {
+        single_thread(|| {
+            b.iter(|| {
+                block_match_reference(black_box(&scene.left), black_box(&scene.right), &params)
+            })
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_convolve,
     bench_integral,
     bench_bilateral,
     bench_viola,
-    bench_nn
+    bench_nn,
+    bench_block_match
 );
 criterion_main!(kernels);

@@ -1,7 +1,8 @@
-//! Kernel determinism smoke: runs each of the five reworked hot kernels
+//! Kernel determinism smoke: runs each of the six reworked hot kernels
 //! (separable convolution, integral image, bilateral grid pipeline,
-//! Viola-Jones scan, batched MLP forward) on deterministic workloads and
-//! prints an order-sensitive FNV-1a digest of every output.
+//! Viola-Jones scan, batched MLP forward, stereo block matching) on
+//! deterministic workloads and prints an order-sensitive FNV-1a digest of
+//! every output.
 //!
 //! The CI `kernels` gate runs this experiment twice at `INCAM_THREADS=1`
 //! and once at `INCAM_THREADS=4` and byte-compares the transcripts —
@@ -12,6 +13,7 @@
 //! downstream experiment moves.
 
 use incam_bilateral::grid::{BilateralGrid, GridParams};
+use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::convolve::{
     convolve_h, convolve_h_reference, convolve_separable, convolve_separable_reference, convolve_v,
     convolve_v_reference, gaussian_kernel,
@@ -167,6 +169,28 @@ pub fn run(seed: u64, quick: bool) -> String {
         f.write_f32(v);
     }
     report("forward-batch", f.finish(), nn_ok);
+
+    // 6. stereo block matching (the VR rig's B3 window search) on the
+    //    pattern and a copy shifted 3 px, so right(x) = left(x + 3)
+    let left = GrayImage::from_fn(w, h, |x, y| img.get_clamped(x as isize - 3, y as isize));
+    let matching = MatchParams {
+        max_disparity: 8,
+        block_radius: 2,
+    };
+    let init = block_match(&left, &img, &matching);
+    let reference = block_match_reference(&left, &img, &matching);
+    let bm_ok = init.disparity.pixels() == reference.disparity.pixels()
+        && init.confidence.pixels() == reference.confidence.pixels();
+    let mut f = Digest::new();
+    for &v in init
+        .disparity
+        .pixels()
+        .iter()
+        .chain(init.confidence.pixels())
+    {
+        f.write_f32(v);
+    }
+    report("block-match", f.finish(), bm_ok);
 
     out
 }

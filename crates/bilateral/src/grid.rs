@@ -9,7 +9,6 @@
 //! strongly in intensity land in different grid cells along the third
 //! axis, so grid-space smoothing never mixes across an image edge.
 
-use incam_core::units::Bytes;
 use incam_imaging::image::GrayImage;
 
 /// Grid resolution parameters.
@@ -42,6 +41,15 @@ impl GridParams {
             sigma_range,
         }
     }
+
+    /// Grid dimensions `(x, y, intensity)` for a `width × height` image
+    /// in `[0, 1]`: the sizing every [`BilateralGrid`] is built with.
+    pub fn dims(&self, width: usize, height: usize) -> (usize, usize, usize) {
+        let gw = ((width - 1) as f32 / self.sigma_spatial).floor() as usize + 2;
+        let gh = ((height - 1) as f32 / self.sigma_spatial).floor() as usize + 2;
+        let gz = (1.0 / self.sigma_range).floor() as usize + 2;
+        (gw, gh, gz)
+    }
 }
 
 /// A homogeneous bilateral grid: per-vertex accumulated `value·weight` and
@@ -60,9 +68,7 @@ impl BilateralGrid {
     /// Creates an empty grid sized for a `width × height` image in
     /// `[0, 1]` under `params`.
     pub fn new(width: usize, height: usize, params: GridParams) -> Self {
-        let gw = ((width - 1) as f32 / params.sigma_spatial).floor() as usize + 2;
-        let gh = ((height - 1) as f32 / params.sigma_spatial).floor() as usize + 2;
-        let gz = (1.0 / params.sigma_range).floor() as usize + 2;
+        let (gw, gh, gz) = params.dims(width, height);
         let n = gw * gh * gz;
         Self {
             gw,
@@ -82,15 +88,6 @@ impl BilateralGrid {
     /// Number of grid vertices.
     pub fn vertex_count(&self) -> usize {
         self.gw * self.gh * self.gz
-    }
-
-    /// Memory footprint with `bytes_per_vertex` of per-vertex state.
-    ///
-    /// The plain homogeneous grid stores 8 bytes/vertex (value + weight);
-    /// a full BSSA solver additionally stores per-vertex cost-volume
-    /// slices, which is the accounting the paper's Fig. 7 x-axis uses.
-    pub fn memory(&self, bytes_per_vertex: usize) -> Bytes {
-        Bytes::new((self.vertex_count() * bytes_per_vertex) as f64)
     }
 
     /// The grid parameters.
@@ -642,7 +639,6 @@ mod tests {
         let fine = BilateralGrid::new(128, 128, GridParams::new(4.0, 0.05));
         let coarse = BilateralGrid::new(128, 128, GridParams::new(16.0, 0.2));
         assert!(fine.vertex_count() > 20 * coarse.vertex_count());
-        assert!(fine.memory(8) > coarse.memory(8));
     }
 
     #[test]

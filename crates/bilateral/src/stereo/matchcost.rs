@@ -6,6 +6,25 @@
 //! rough map in bilateral space. The per-pixel confidence (cost-ratio
 //! test) lets the refinement trust textured regions and smooth over
 //! ambiguous ones.
+//!
+//! ## Kernel microarchitecture
+//!
+//! [`block_match`] runs over row slices instead of clamped per-pixel
+//! reads. For each output row it copies the `2r+1` window rows of both
+//! images once into replicate-padded rows (the padding is exactly
+//! `get_clamped`'s clamp in x and y). For each disparity `d`, ascending,
+//! it forms one absolute-difference row per window row and sums the
+//! window over 16-column tiles in a fixed-size accumulator that the
+//! autovectorizer keeps in registers; a one-column tail covers `w % 16`.
+//! The strict-`<` best/second update then runs per column.
+//!
+//! The output is bit-identical to the per-pixel search, kept as
+//! [`block_match_reference`]: every `(x, y, d)` cost adds the same
+//! `(2r+1)²` operands from `+0.0` in the same dy-major, dx-minor order
+//! (a lane-wise f32 add is the same IEEE operation as a scalar one, and
+//! Rust never contracts to FMA), and every column sees `d` ascend under
+//! the same comparisons, so ties resolve the same way. Rows are
+//! independent, so any banding gives the same maps at any thread count.
 
 use incam_imaging::image::GrayImage;
 
@@ -62,6 +81,137 @@ impl Default for MatchParams {
 /// assert_eq!(init.disparity.dims(), (64, 48));
 /// ```
 pub fn block_match(left: &GrayImage, right: &GrayImage, params: &MatchParams) -> InitialDisparity {
+    assert_eq!(left.dims(), right.dims(), "stereo pair must match");
+    assert!(params.max_disparity > 0, "max_disparity must be nonzero");
+    let (w, h) = left.dims();
+    let r = params.block_radius;
+    let taps = 2 * r + 1;
+    // padded right and abs-diff rows span every dx; padded left rows
+    // also span every d
+    let wp = w + 2 * r;
+    let wl = wp + params.max_disparity;
+
+    let mut disparity = GrayImage::zeros(w, h);
+    let mut confidence = GrayImage::zeros(w, h);
+    // Rows are independent; each worker owns a disjoint band of output
+    // rows of both maps and one scratch buffer, so the result is
+    // byte-equal to the sequential scan at any thread count.
+    incam_parallel::par_bands_mut2(
+        disparity.pixels_mut(),
+        confidence.pixels_mut(),
+        h,
+        |rows, disp_band, conf_band| {
+            let mut scratch = vec![0.0f32; taps * (2 * wp + wl) + 3 * w];
+            let (rp, rest) = scratch.split_at_mut(taps * wp);
+            let (lp, rest) = rest.split_at_mut(taps * wl);
+            let (ad, rest) = rest.split_at_mut(taps * wp);
+            let (cost, rest) = rest.split_at_mut(w);
+            let (best, second) = rest.split_at_mut(w);
+            for y in rows.clone() {
+                let window_rows = rp.chunks_exact_mut(wp).zip(lp.chunks_exact_mut(wl));
+                for (k, (rrow, lrow)) in window_rows.enumerate() {
+                    let sy = (y + k).saturating_sub(r).min(h - 1);
+                    pad_row(rrow, right.row(sy), r);
+                    pad_row(lrow, left.row(sy), r);
+                }
+                let row = (y - rows.start) * w;
+                let disp = &mut disp_band[row..row + w];
+                best.fill(f32::INFINITY);
+                second.fill(f32::INFINITY);
+                for d in 0..=params.max_disparity {
+                    let window_rows = rp.chunks_exact(wp).zip(lp.chunks_exact(wl));
+                    for (adrow, (rrow, lrow)) in ad.chunks_exact_mut(wp).zip(window_rows) {
+                        for ((a, &rv), &lv) in adrow.iter_mut().zip(rrow).zip(&lrow[d..]) {
+                            *a = (rv - lv).abs();
+                        }
+                    }
+                    let mut tiles = cost.chunks_exact_mut(LANES);
+                    for (x0, c) in (0..).step_by(LANES).zip(&mut tiles) {
+                        c.copy_from_slice(&window_sad::<LANES>(ad, wp, x0));
+                    }
+                    let tail = tiles.into_remainder();
+                    for (x, c) in (w - tail.len()..).zip(tail) {
+                        *c = window_sad::<1>(ad, wp, x)[0];
+                    }
+                    for (((&c, b), s), bd) in cost
+                        .iter()
+                        .zip(&mut *best)
+                        .zip(&mut *second)
+                        .zip(&mut *disp)
+                    {
+                        if c < *b {
+                            *s = *b;
+                            *b = c;
+                            *bd = d as f32;
+                        } else if c < *s {
+                            *s = c;
+                        }
+                    }
+                }
+                let conf = &mut conf_band[row..row + w];
+                for ((c, &b), &s) in conf.iter_mut().zip(&*best).zip(&*second) {
+                    // ratio test: distinct minima are trustworthy
+                    *c = if s.is_finite() && s > 1e-6 {
+                        (1.0 - b / s).clamp(0.0, 1.0)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        },
+    );
+    InitialDisparity {
+        disparity,
+        confidence,
+    }
+}
+
+/// Columns summed per tile by [`block_match`]: one fixed-size f32
+/// accumulator the autovectorizer keeps in registers.
+const LANES: usize = 16;
+
+/// Copies `src` into `dst` with `pad` replicated border pixels on the
+/// left and the last pixel replicated to the end: `dst[i]` is
+/// `src[clamp(i - pad)]`.
+fn pad_row(dst: &mut [f32], src: &[f32], pad: usize) {
+    let (head, rest) = dst.split_at_mut(pad);
+    head.fill(src[0]);
+    let (mid, tail) = rest.split_at_mut(src.len());
+    mid.copy_from_slice(src);
+    tail.fill(src[src.len() - 1]);
+}
+
+/// The window sums of `N` adjacent columns from `x0`: each adds the
+/// `taps × taps` abs-diffs (`taps` rows of stride `wp` in `ad`) from
+/// `+0.0` in dy-major, dx-minor order.
+#[inline(always)]
+fn window_sad<const N: usize>(ad: &[f32], wp: usize, x0: usize) -> [f32; N] {
+    let taps = ad.len() / wp;
+    let mut acc = [0.0f32; N];
+    for k in 0..taps {
+        let row = &ad[k * wp + x0..(k + 1) * wp];
+        for j in 0..taps {
+            for (a, &v) in acc.iter_mut().zip(&row[j..j + N]) {
+                *a += v;
+            }
+        }
+    }
+    acc
+}
+
+/// The original per-pixel search (`(2r+1)²` clamped reads per pixel per
+/// disparity), kept as the correctness oracle for [`block_match`]
+/// (proptests pin the two bit-equal) and as the "before" side of the
+/// kernel microbenchmarks.
+///
+/// # Panics
+///
+/// Panics if image dimensions differ or `max_disparity == 0`.
+pub fn block_match_reference(
+    left: &GrayImage,
+    right: &GrayImage,
+    params: &MatchParams,
+) -> InitialDisparity {
     assert_eq!(left.dims(), right.dims(), "stereo pair must match");
     assert!(params.max_disparity > 0, "max_disparity must be nonzero");
     let (w, h) = left.dims();

@@ -10,10 +10,12 @@
 mod matchcost;
 mod solver;
 
-pub use matchcost::{block_match, disparity_mae, InitialDisparity, MatchParams};
+pub use matchcost::{
+    block_match, block_match_reference, disparity_mae, InitialDisparity, MatchParams,
+};
 pub use solver::{refine_in_bilateral_space, SolveStats, SolverParams};
 
-use crate::grid::{BilateralGrid, GridParams};
+use crate::grid::GridParams;
 use incam_core::units::Bytes;
 use incam_imaging::image::GrayImage;
 
@@ -81,15 +83,14 @@ pub fn bssa_depth(left: &GrayImage, right: &GrayImage, config: &BssaConfig) -> D
         config.grid,
         &config.solver,
     );
-    let grid = BilateralGrid::new(left.width(), left.height(), config.grid);
     // full-solver accounting: a float per disparity hypothesis plus the
     // homogeneous (value, weight) pair per vertex
     let per_vertex = 4 * (config.matching.max_disparity + 1) + 8;
     DepthResult {
         disparity: refined,
         initial: init.disparity,
-        grid_dims: grid.dims(),
-        grid_memory: grid.memory(per_vertex),
+        grid_dims: config.grid.dims(left.width(), left.height()),
+        grid_memory: Bytes::new((solve_stats.vertices * per_vertex) as f64),
         solve_stats,
     }
 }

@@ -2,7 +2,7 @@
 
 use incam_bilateral::grid::{BilateralGrid, GridParams};
 use incam_bilateral::signal::{bilateral_filter_1d, moving_average};
-use incam_bilateral::stereo::{block_match, MatchParams};
+use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::image::{GrayImage, Image};
 use incam_rng::prelude::*;
 
@@ -140,6 +140,43 @@ proptest! {
             prop_assert!(blur_ok, "blur diverged, threads={}", threads);
             for (a, b) in sliced.pixels().iter().zip(sliced_reference.pixels()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
+            }
+        }
+    }
+
+    /// The row-slice block matcher is bit-exact against the per-pixel
+    /// search, in both maps, across image sizes narrower than a tile, a
+    /// window or the disparity range, and both pool dispatch paths.
+    #[test]
+    fn block_match_bitwise_equal_reference(
+        w in 1usize..40,
+        h in 1usize..40,
+        block_radius in 0usize..4,
+        max_disparity in 1usize..48,
+        seed in 0u64..5000,
+    ) {
+        let right = Image::from_fn(w, h, move |x, y| {
+            (((x * 13 + y * 7 + seed as usize * 3) % 53) as f32) / 53.0
+        });
+        // the left view is the right one shifted by a few pixels, plus a
+        // small pattern, so both close and distinct minima occur
+        let left = Image::from_fn(w, h, |x, y| {
+            right.get_clamped(x as isize - (seed % 5) as isize, y as isize)
+                + ((x * 3 + y) % 7) as f32 / 70.0
+        });
+        let params = MatchParams { max_disparity, block_radius };
+        let reference = block_match_reference(&left, &right, &params);
+        for threads in [1usize, 4] {
+            incam_parallel::set_thread_override(Some(threads));
+            let fast = block_match(&left, &right, &params);
+            incam_parallel::set_thread_override(None);
+            for (fast, reference) in [
+                (&fast.disparity, &reference.disparity),
+                (&fast.confidence, &reference.confidence),
+            ] {
+                for (a, b) in fast.pixels().iter().zip(reference.pixels()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
+                }
             }
         }
     }
