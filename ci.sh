@@ -112,7 +112,7 @@ step "explore-scale determinism (pruned search on the widened space, threads 1 v
 repro_diff explore-scale --quick
 
 step "registry determinism (remaining repro experiments, threads 1 vs 4)"
-for exp in fig4c nn-topology pe-geometry bitwidth sigmoid fa-space fig7 fig9 fig10 links table1 compression ablations; do
+for exp in fig4c nn-topology pe-geometry bitwidth sigmoid fa-space fig7 fig9 fig10 links table1 compression ablations fault-sweep fleet-sweep verify-storm; do
     repro_diff "$exp" --quick
 done
 
@@ -137,7 +137,7 @@ cargo test -q --offline -p incam-bench --test benchjson
 step "bench harness smoke (2 samples)"
 # INCAM_BENCH_DIR keeps smoke output away from the committed
 # BENCH_*.json baselines (default dir is the package).
-INCAM_BENCH_SAMPLES=2 INCAM_BENCH_DIR="$tmpdir" cargo bench --offline -p incam-bench -- fa_pipeline
+INCAM_BENCH_SAMPLES=2 INCAM_BENCH_DIR="$tmpdir" cargo bench --offline -p incam-bench --bench explore
 
 step "benchmark smoke (BENCHMARK.json driver, every workload once)"
 # The benchmark is a stand-alone package outside the workspace, so the

@@ -24,7 +24,7 @@ use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
 use crate::embed::{EmbedError, Embedding, EmbeddingHead};
 use crate::gallery::Gallery;
 use incam_core::link::Link;
-use incam_core::report::{sig3, Table};
+use incam_core::report::Table;
 use incam_core::runtime::{ComputeCondition, FaultOracle, RetryPolicy};
 use incam_core::units::{Bytes, Joules, Seconds};
 use incam_fleet::ingest::{Admission, Ingest, IngestConfig};
@@ -852,18 +852,6 @@ impl VerifyService {
         report.record(&outcome);
         served[idx] = Some(outcome);
     }
-}
-
-/// Renders a precision/recall line for a scored verify run (used by
-/// the bench experiment; kept here so the formatting is shared with
-/// examples).
-pub fn accuracy_line(precision: f64, recall: f64, f1: f64) -> String {
-    format!(
-        "precision {}  recall {}  f1 {}",
-        sig3(precision),
-        sig3(recall),
-        sig3(f1)
-    )
 }
 
 #[cfg(test)]

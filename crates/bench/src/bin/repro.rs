@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! repro --all                 # run every experiment
-//! repro --experiment fig10    # run one (fig4c, nn-topology, pe-geometry,
-//!                             #   bitwidth, sigmoid, fa-pipeline, fa-space,
-//!                             #   fig6, fig7, fig9, fig10, links, table1)
+//! repro --experiment fig10    # run one (`repro --help` lists them all)
 //! repro --seed 7              # change the workload seed
 //! repro --quick               # reduced workloads (CI-sized)
 //! ```
@@ -42,9 +40,12 @@ const ALL: &[&str] = &[
     "ablations",
     "harvest",
     "chaos",
+    "fault-sweep",
     "fleet",
+    "fleet-sweep",
     "kernels",
     "verify",
+    "verify-storm",
     "explore-scale",
 ];
 
@@ -199,9 +200,17 @@ fn run_experiment(name: &str, opts: &Options) -> (String, String) {
             banner("Chaos study — degradation under link, harvest and compute faults");
             print!("{}", chaos::run(seed, opts.quick));
         }
+        "fault-sweep" => {
+            banner("Fault sweep — bursty loss and harvest distance against recovery policy");
+            print!("{}", chaos::fault_sweep(seed));
+        }
         "fleet" => {
             banner("Fleet study — contended spectrum, cloud ingest, online cut re-selection");
             print!("{}", fleet::run(seed, opts.quick));
+        }
+        "fleet-sweep" => {
+            banner("Fleet sweep — fleet size against spectrum channels");
+            print!("{}", fleet::sweep(seed));
         }
         "kernels" => {
             banner("Kernel digests — hot-kernel fast paths vs reference oracles");
@@ -210,6 +219,10 @@ fn run_experiment(name: &str, opts: &Options) -> (String, String) {
         "verify" => {
             banner("Verify service — fail-closed face authentication under chaos");
             print!("{}", verify::run(seed, opts.quick));
+        }
+        "verify-storm" => {
+            banner("Verify storm — burst loss against request load, fail-closed");
+            print!("{}", verify::storm(seed));
         }
         "explore-scale" => {
             banner("Explore at scale — pruned branch-and-bound on the widened imaging space");

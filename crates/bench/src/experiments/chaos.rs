@@ -181,52 +181,73 @@ pub fn render_wispcam_recovery(outcomes: &[FrameOutcome], seed: u64) -> String {
     out
 }
 
-/// The loss-rate × harvest-distance sweep behind `results/fault-sweep.txt`.
-pub fn fault_sweep(seed: u64, quick: bool) -> String {
-    let (fa_frames, vr_frames, effort) = if quick {
-        (60, 150, TrainEffort::Quick)
-    } else {
-        (150, 400, TrainEffort::Quick)
-    };
+/// The loss-rate × harvest-distance sweep behind `results/fault-sweep.txt`:
+/// every VR graceful-degradation policy on a bursty uplink at four loss
+/// rates, and both WISPCam recovery policies at four reader distances
+/// under the canonical fade.
+pub fn fault_sweep(seed: u64) -> String {
     let model = VrModel::paper_default();
     let link = Link::ethernet_25g();
-    let config = canonical_vr_config();
-    let outcomes = fa_frame_trace(seed, fa_frames, effort);
-
-    let mut table = Table::new(&[
+    let mut vr = Table::new(&[
         "loss",
-        "distance (m)",
-        "VR eff. FPS",
-        "VR dropped",
-        "FA completed",
-        "FA eff. FPS",
+        "policy",
+        "completed",
+        "retries",
+        "effective FPS",
+        "vs ideal",
     ]);
     for &loss in &[0.02f64, 0.05, 0.10, 0.20] {
         let scenario = VrChaosScenario {
             trace: GilbertElliott::congested(loss).trace(seed, 8192),
             compute: ComputeFaultModel::ideal(),
-            frames: vr_frames,
+            frames: 150,
             retry: RetryPolicy::default(),
         };
-        let vr = run_policy(&model, &config, &link, &scenario, GracefulPolicy::Retry);
-        for &distance in &[1.0f64, 2.0, 4.0] {
-            let fa = wispcam_report(&outcomes, seed, distance, RecoveryPolicy::Checkpoint);
-            table.row_owned(vec![
+        for (policy, r) in policy_sweep(&model, &canonical_vr_config(), &link, &scenario) {
+            vr.row_owned(vec![
                 format!("{:.0}%", loss * 100.0),
-                sig3(distance),
-                sig3(vr.effective_fps.fps()),
-                format!("{}/{}", vr.frames_dropped(), vr.frames_attempted),
-                format!("{}/{}", fa.frames_completed, fa.frames_total),
-                sig3(fa.achieved_fps.fps()),
+                policy.label().to_string(),
+                format!("{}/{}", r.frames_completed, r.frames_attempted),
+                (r.compute_retries + r.link_retries).to_string(),
+                sig3(r.effective_fps.fps()),
+                format!("{:.3}", r.throughput_ratio()),
             ]);
         }
     }
-    let mut out = table.render();
-    out.push_str(
-        "\n(VR: retry policy on the 25GbE uplink; FA: checkpoint recovery \
-         under the canonical RF fade)\n",
-    );
-    out
+
+    let outcomes = fa_frame_trace(seed, 60, TrainEffort::Quick);
+    let mut fa = Table::new(&[
+        "distance (m)",
+        "recovery",
+        "completed",
+        "stalls",
+        "restarts",
+        "wasted",
+        "achieved FPS",
+    ]);
+    for &distance in &[1.0f64, 2.0, 3.0, 4.0] {
+        for policy in [RecoveryPolicy::RestartFrame, RecoveryPolicy::Checkpoint] {
+            let r = wispcam_report(&outcomes, seed, distance, policy);
+            fa.row_owned(vec![
+                sig3(distance),
+                policy.label().to_string(),
+                format!("{}/{}", r.frames_completed, r.frames_total),
+                r.stalled_periods.to_string(),
+                r.restarts.to_string(),
+                r.wasted.human(),
+                sig3(r.achieved_fps.fps()),
+            ]);
+        }
+    }
+
+    format!(
+        "fault sweep (seed {seed}): loss rate x harvest distance\n\n\
+         VR pipeline (cut 3, FPGA depth) on a bursty 25GbE uplink:\n\n{}\n\
+         WISPCam MD+FD+NN (MCU substrate) at {CANONICAL_TARGET_FPS} FPS under a fading \
+         carrier:\n\n{}",
+        vr.render(),
+        fa.render()
+    )
 }
 
 /// The full chaos study: canonical reports plus both policy comparisons.

@@ -14,7 +14,7 @@
 //! mode, scaled down: determinism holds at any size, so the smallest
 //! workload that exercises the full code path is the right one.
 
-use incam_bench::experiments::{chaos, fa_pipeline, vr_studies};
+use incam_bench::experiments::{chaos, fa_pipeline, fleet, verify, vr_studies};
 use incam_wispcam::workload::TrainEffort;
 use std::sync::Mutex;
 
@@ -104,6 +104,16 @@ fn chaos_study_is_byte_identical_across_thread_counts() {
 #[test]
 fn fault_sweep_is_byte_identical_across_thread_counts() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let sweep = || chaos::fault_sweep(SEED, true);
+    let sweep = || chaos::fault_sweep(SEED);
     assert_eq!(at_threads(1, sweep), at_threads(4, sweep));
+    // Each sweep's first line prints its seed, so compare what follows
+    // it: a sweep that ignored its seed would pass every check above.
+    for sweep in [chaos::fault_sweep, fleet::sweep, verify::storm] {
+        let grid = |seed: u64| {
+            sweep(seed)
+                .split_once('\n')
+                .map(|(_, rest)| rest.to_owned())
+        };
+        assert_ne!(grid(SEED), grid(SEED + 1));
+    }
 }

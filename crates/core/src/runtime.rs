@@ -144,17 +144,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, no backoff.
-    pub fn no_retry() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff: Seconds::ZERO,
-            max_backoff: Seconds::ZERO,
-            jitter: 0.0,
-            timeout: Seconds::from_millis(500.0),
-        }
-    }
-
     /// Validates the policy's invariants.
     ///
     /// # Panics

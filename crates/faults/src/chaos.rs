@@ -71,16 +71,6 @@ impl ChaosOracle {
         self.stride = stride;
         self
     }
-
-    /// The underlying link trace.
-    pub fn link_trace(&self) -> &LinkTrace {
-        &self.link
-    }
-
-    /// The underlying compute-fault model.
-    pub fn compute_model(&self) -> &ComputeFaultModel {
-        &self.compute
-    }
 }
 
 impl FaultOracle for ChaosOracle {

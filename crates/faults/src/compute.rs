@@ -88,11 +88,6 @@ impl ComputeFaultModel {
             ComputeCondition::Nominal
         }
     }
-
-    /// Expected fraction of executions that fail.
-    pub fn expected_fail_rate(&self) -> f64 {
-        self.fail_prob
-    }
 }
 
 /// Mixes the sampling coordinates into one 64-bit key. Odd multipliers

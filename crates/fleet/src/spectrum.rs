@@ -67,12 +67,6 @@ impl Spectrum {
         self.free.push(Reverse((finish, channel)));
         Grant { start, finish }
     }
-
-    /// The earliest tick at which any channel is free — how far the
-    /// spectrum backlog currently reaches.
-    pub fn earliest_free(&self) -> u64 {
-        self.free.peek().map(|Reverse((t, _))| *t).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

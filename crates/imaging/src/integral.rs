@@ -191,11 +191,6 @@ impl IntegralImage {
         let d = self.table[(y + h) * tw + (x + w)];
         d - b - c + a
     }
-
-    /// Mean intensity of a rectangle.
-    pub fn rect_mean(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
-        self.rect_sum(x, y, w, h) / (w * h) as f64
-    }
 }
 
 /// Per-window mean and standard deviation computed from a plain/squared

@@ -27,6 +27,7 @@
 //! | `par-float-accum` | order-sensitive `+=` into a capture in an `incam_parallel` closure |
 //! | `lossy-cast` | unguarded narrowing `as` casts in hot-kernel crates |
 //! | `unchecked-arith` | wrapping/unchecked ops in hot-kernel crates |
+//! | `unreferenced-pub` | a library `pub fn` whose name appears nowhere else in the tree |
 //! | `coherence` | experiment/CI/docs/results/module-map drift |
 //! | `pragma` | malformed / reasonless suppression pragmas |
 //!
@@ -116,7 +117,8 @@ pub struct Report {
 
 /// Lints every `.rs` and `Cargo.toml` under `root`, skipping `target/`,
 /// dot-directories, and this crate's own bad-source fixtures, then runs
-/// the cross-artifact coherence pass over the same tree.
+/// the cross-artifact coherence pass and the workspace-wide
+/// `unreferenced-pub` rule over the same tree.
 ///
 /// File order and diagnostic order are deterministic (sorted), so the
 /// output is byte-stable across platforms and runs.
@@ -126,6 +128,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut diagnostics = Vec::new();
     let mut audit = Vec::new();
     let mut modmap = workspace::ModuleMap::default();
+    let mut pub_fns = rules::unreferenced::PubFnIndex::default();
     for path in files {
         let rel = workspace::relpath(root, &path);
         let bytes = fs::read(&path)?;
@@ -140,9 +143,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             diagnostics.extend(d);
             audit.extend(a);
             modmap.record(&rel, &ctx.file);
+            pub_fns.record(&ctx);
         }
     }
     diagnostics.extend(coherence::check(root, &modmap));
+    diagnostics.extend(pub_fns.check(&audit));
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.col, a.rule, &a.message)
             .cmp(&(&b.path, b.line, b.col, b.rule, &b.message))

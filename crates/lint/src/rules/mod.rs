@@ -19,6 +19,8 @@
 //! - [`numeric`] — lossy-cast and unchecked-arith in the hot-kernel
 //!   crates, plus fallible-unwrap over all non-test library code.
 //! - [`hygiene`] — crate-root lint attributes.
+//! - [`unreferenced`] — unreferenced-pub, the one rule that needs every
+//!   file: [`crate::lint_workspace`] runs it after the walk.
 //!
 //! `registry-dep` stays in [`crate::manifest`] (it reads TOML, not
 //! Rust) and the cross-artifact checks live in [`crate::coherence`].
@@ -27,6 +29,7 @@ pub mod determinism;
 pub mod hygiene;
 pub mod numeric;
 pub mod races;
+pub mod unreferenced;
 
 use crate::lexer::TokenKind;
 use crate::pragma::{self, Pragma};
@@ -56,6 +59,8 @@ pub const PAR_FLOAT_ACCUM: &str = "par-float-accum";
 pub const LOSSY_CAST: &str = "lossy-cast";
 /// Wrapping/unchecked arithmetic in hot-kernel crates.
 pub const UNCHECKED_ARITH: &str = "unchecked-arith";
+/// A library `pub fn` whose name appears nowhere else in the workspace.
+pub const UNREFERENCED_PUB: &str = "unreferenced-pub";
 /// Experiment/CI/docs/results drift (see [`crate::coherence`]).
 pub const COHERENCE: &str = "coherence";
 /// Meta-rule: malformed pragmas, unknown rule ids, missing reasons.
@@ -64,7 +69,7 @@ pub const PRAGMA: &str = "pragma";
 /// Rules a pragma may suppress ([`PRAGMA`] and [`COHERENCE`] are not
 /// suppressible: the former is the meta-rule, the latter is repaired by
 /// fixing the artifact drift it names, not by waiving it).
-pub const ALLOWABLE_RULES: [&str; 11] = [
+pub const ALLOWABLE_RULES: [&str; 12] = [
     WALL_CLOCK,
     UNORDERED_ITERATION,
     RAW_THREAD,
@@ -76,6 +81,7 @@ pub const ALLOWABLE_RULES: [&str; 11] = [
     PAR_FLOAT_ACCUM,
     LOSSY_CAST,
     UNCHECKED_ARITH,
+    UNREFERENCED_PUB,
 ];
 
 /// Runs every Rust-source rule over `src`, applying pragma suppression.

@@ -120,7 +120,7 @@ fn check_unchecked(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
 
 /// True for paths the widened fallible-unwrap rule covers: library
 /// sources (`src/` trees) excluding binaries, examples and test trees.
-fn is_library_code(relpath: &str) -> bool {
+pub(crate) fn is_library_code(relpath: &str) -> bool {
     let in_src = relpath.starts_with("src/") || relpath.contains("/src/");
     let is_bin = relpath.ends_with("src/main.rs") || relpath.contains("/src/bin/");
     let exempt_tree = relpath

@@ -161,7 +161,7 @@ fn pragmas_without_reasons_are_violations_and_do_not_suppress() {
                      BTreeMap/BTreeSet so report-visible state is byte-stable";
     let rules = "rules: wall-clock, unordered-iteration, raw-thread, env-read, registry-dep, \
                  crate-hygiene, fallible-unwrap, par-capture-mut, par-float-accum, lossy-cast, \
-                 unchecked-arith";
+                 unchecked-arith, unreferenced-pub";
     assert_eq!(
         rust_diags("crates/demo/src/bad.rs", "pragma_bad.rs"),
         [
@@ -363,5 +363,30 @@ fn coherence_flags_registry_drift() {
              --seed 2017 --output results`)"
                 .to_string(),
         ]
+    );
+}
+
+/// The workspace-wide dead-API rule over a planted tree: of four
+/// library `pub fn`s, one is called from the binary, one is named
+/// nowhere else, one is kept by a pragma, and one sits under
+/// `cfg(test)`. Only the second is a finding, and the pragma is audited.
+#[test]
+fn unreferenced_pub_flags_only_the_uncalled_function() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreferenced_tree");
+    let report = lint_workspace(&root).expect("walk fixture tree");
+    let diags: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
+    assert_eq!(
+        diags,
+        [
+            "src/lib.rs:10:1: [unreferenced-pub] `pub fn orphaned` is named nowhere else in the \
+             workspace; delete it, give it a caller, or keep it with a reasoned pragma"
+        ]
+    );
+    assert!(
+        incam_lint::json::render_audit(&report).contains(
+            "src/lib.rs:13: allow(unreferenced-pub) — stable entry point for callers outside \
+             the tree"
+        ),
+        "the pragma that keeps `kept` must show in --audit"
     );
 }

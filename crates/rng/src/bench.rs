@@ -24,7 +24,7 @@
 //! ```
 //!
 //! Knobs: a positional CLI argument filters benchmarks by substring
-//! (`cargo bench -p incam-bench --bench case_study_1 -- scan`);
+//! (`cargo bench -p incam-bench --bench kernels -- scan`);
 //! `INCAM_BENCH_DIR` redirects the JSON output directory (default:
 //! current directory); `INCAM_BENCH_SAMPLES` overrides every group's
 //! sample count.

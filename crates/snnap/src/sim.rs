@@ -19,7 +19,6 @@ use incam_nn::topology::Topology;
 #[derive(Debug, Clone)]
 pub struct SnnapAccelerator {
     config: SnnapConfig,
-    model: EnergyModel,
     qnet: QuantizedMlp,
     schedule: Schedule,
     energy: InferenceEnergy,
@@ -53,19 +52,10 @@ impl SnnapAccelerator {
         let energy = evaluate(&schedule, &config, &EnergyModel::default());
         Self {
             config,
-            model: EnergyModel::default(),
             qnet,
             schedule,
             energy,
         }
-    }
-
-    /// Replaces the energy model (for calibration studies).
-    #[must_use]
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy = evaluate(&self.schedule, &self.config, &model);
-        self.model = model;
-        self
     }
 
     /// The accelerator configuration.
@@ -86,11 +76,6 @@ impl SnnapAccelerator {
     /// The precomputed inference schedule.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
-    }
-
-    /// Itemized per-inference energy.
-    pub fn inference_energy(&self) -> InferenceEnergy {
-        self.energy
     }
 
     /// Per-inference energy total.
@@ -116,11 +101,6 @@ impl SnnapAccelerator {
     pub fn infer(&self, input: &[f32]) -> (f32, Joules) {
         let out = self.qnet.forward(input);
         (out[0], self.energy.total())
-    }
-
-    /// Runs one inference returning all outputs.
-    pub fn infer_all(&self, input: &[f32]) -> (Vec<f32>, Joules) {
-        (self.qnet.forward(input), self.energy.total())
     }
 }
 

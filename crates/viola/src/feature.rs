@@ -46,15 +46,6 @@ impl HaarKind {
             HaarKind::FourRect => (2, 2),
         }
     }
-
-    /// Integral-image rectangle reads needed to evaluate the pattern.
-    pub fn rect_reads(self) -> usize {
-        match self {
-            HaarKind::TwoRectHorizontal | HaarKind::TwoRectVertical => 2,
-            HaarKind::ThreeRectHorizontal | HaarKind::ThreeRectVertical => 3,
-            HaarKind::FourRect => 4,
-        }
-    }
 }
 
 /// A Haar feature positioned inside a base detection window.

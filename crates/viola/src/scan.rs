@@ -256,20 +256,6 @@ fn finish_scan(mut result: ScanResult, params: &ScanParams) -> ScanResult {
     result
 }
 
-/// [`group_detections`] keeping only clusters with at least
-/// `min_neighbors` raw members.
-pub fn group_detections_filtered(
-    raw: &[Detection],
-    iou_threshold: f64,
-    min_neighbors: usize,
-) -> Vec<Detection> {
-    group_clusters(raw, iou_threshold)
-        .into_iter()
-        .filter(|group| group.len() >= min_neighbors)
-        .map(|group| average_box(&group))
-        .collect()
-}
-
 /// Greedy overlap grouping: clusters raw windows with IoU above
 /// `iou_threshold` and emits each cluster's average box.
 pub fn group_detections(raw: &[Detection], iou_threshold: f64) -> Vec<Detection> {

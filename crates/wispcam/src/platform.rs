@@ -9,7 +9,7 @@
 
 use crate::capacitor::Capacitor;
 use crate::harvester::RfHarvester;
-use incam_core::units::{Fps, Joules, Seconds, Watts};
+use incam_core::units::{Fps, Joules, Seconds};
 
 /// The harvesting platform: RF front-end plus storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,11 +171,6 @@ impl WispCamPlatform {
             harvested,
             consumed,
         }
-    }
-
-    /// Harvest power needed to sustain a configuration at a frame rate.
-    pub fn required_power(energy_per_frame: Joules, rate: Fps) -> Watts {
-        energy_per_frame * rate
     }
 }
 

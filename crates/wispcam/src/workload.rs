@@ -97,25 +97,6 @@ impl Workload {
             accelerator,
         )
     }
-
-    /// Assembles a pipeline with a custom accelerator configuration
-    /// (geometry / precision studies on the live pipeline).
-    pub fn pipeline_with_accelerator(
-        &self,
-        config: FaPipelineConfig,
-        snnap: SnnapConfig,
-    ) -> FaPipeline {
-        let accelerator = SnnapAccelerator::new(&self.reference_net, snnap);
-        let detector = config.face_detection.then(|| self.detector.clone());
-        FaPipeline::new(
-            config,
-            ImageSensor::wispcam_default(),
-            BackscatterRadio::wispcam_default(),
-            detector,
-            self.scan_params,
-            accelerator,
-        )
-    }
 }
 
 /// Trains a float authenticator for `enrolled` against `impostors`.
