@@ -1,9 +1,10 @@
 //! Before/after microbenchmarks for the hot-kernel speed pass: each of
-//! the six reworked kernels (separable convolution, integral image,
+//! the seven reworked kernels (separable convolution, integral image,
 //! bilateral grid pipeline, Viola-Jones scan, batched MLP forward, stereo
-//! block matching) is measured against the original formulation it
-//! replaced, which every crate keeps as a `*_reference` oracle. All pairs
-//! compute bit-identical outputs — only the wall clock differs.
+//! block matching, FA window scoring) is measured against the original
+//! formulation it replaced, which every crate keeps as a `*_reference`
+//! oracle. All pairs compute bit-identical outputs — only the wall clock
+//! differs.
 //!
 //! Runs pinned to one worker thread: single-thread throughput is the
 //! quantity the rework targets (pool scaling is the separate `parallel`
@@ -15,15 +16,19 @@ use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::convolve::{convolve_separable, convolve_separable_reference, gaussian_kernel};
 use incam_imaging::image::GrayImage;
 use incam_imaging::integral::IntegralImage;
-use incam_imaging::scenes::stereo_scene;
+use incam_imaging::resample::{resize_bilinear_reference, BilinearSampler};
+use incam_imaging::scenes::{stereo_scene, SecurityScene, SecuritySceneConfig};
 use incam_nn::mlp::Mlp;
+use incam_nn::quant::ForwardScratch;
 use incam_nn::sigmoid::Sigmoid;
 use incam_nn::topology::Topology;
 use incam_rng::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use incam_rng::rngs::StdRng;
 use incam_rng::{Rng, SeedableRng};
+use incam_snnap::{SnnapAccelerator, SnnapConfig};
 use incam_viola::scan::{scan, scan_reference, ScanParams, StepSize};
 use incam_viola::train::{train_cascade, CascadeTrainConfig};
+use incam_wispcam::pipeline::FaPipelineConfig;
 use std::hint::black_box;
 
 /// Runs `f` with the pool pinned to one worker, restoring the default.
@@ -178,6 +183,60 @@ fn bench_block_match(c: &mut Criterion) {
     group.finish();
 }
 
+/// FA window scoring over one security-camera frame's dense NN grid
+/// (160×120, sides 20–44 at stride 4: 3,170 windows): each window sampled
+/// straight from the frame and scored in reused scratch vs crop → resize
+/// → copy → allocating forward, the per-window work of an NN-only frame.
+fn bench_fa_window(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(25);
+    let net = Mlp::random(Topology::paper_default(), &mut rng);
+    let accelerator = SnnapAccelerator::new(&net, SnnapConfig::paper_default());
+    let q = accelerator.network();
+    let frame = SecurityScene::new(SecuritySceneConfig::default(), rng)
+        .frames(1)
+        .remove(0)
+        .image;
+    let config = FaPipelineConfig::full_accelerated();
+    let n = config.nn_input_side;
+    let (w, h) = frame.dims();
+    let mut windows = Vec::new();
+    for &side in &config.grid_sides {
+        for y in (0..=h - side).step_by(config.grid_stride) {
+            for x in (0..=w - side).step_by(config.grid_stride) {
+                windows.push((x, y, side, side));
+            }
+        }
+    }
+    assert_eq!(windows.len(), 3170, "the paper-default dense grid");
+    let mut group = c.benchmark_group("fa");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("score_window", "after"), |b| {
+        let mut sampler = BilinearSampler::default();
+        let mut window = vec![0.0; n * n];
+        let mut scratch = ForwardScratch::default();
+        single_thread(|| {
+            b.iter(|| {
+                windows.iter().fold(0.0f32, |best, &rect| {
+                    sampler.sample_into(black_box(&frame), rect, (n, n), &mut window);
+                    best.max(q.forward_into(&window, &mut scratch)[0])
+                })
+            })
+        });
+    });
+    group.bench_function(BenchmarkId::new("score_window", "before"), |b| {
+        single_thread(|| {
+            b.iter(|| {
+                windows.iter().fold(0.0f32, |best, &(x, y, side, _)| {
+                    let crop = black_box(&frame).crop(x, y, side, side);
+                    let window = resize_bilinear_reference(&crop, n, n).to_vec_f32();
+                    best.max(q.forward_reference(&window)[0])
+                })
+            })
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_convolve,
@@ -185,6 +244,7 @@ criterion_group!(
     bench_bilateral,
     bench_viola,
     bench_nn,
-    bench_block_match
+    bench_block_match,
+    bench_fa_window
 );
 criterion_main!(kernels);

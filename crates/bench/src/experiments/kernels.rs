@@ -1,8 +1,8 @@
-//! Kernel determinism smoke: runs each of the six reworked hot kernels
+//! Kernel determinism smoke: runs each of the seven reworked hot kernels
 //! (separable convolution, integral image, bilateral grid pipeline,
-//! Viola-Jones scan, batched MLP forward, stereo block matching) on
-//! deterministic workloads and prints an order-sensitive FNV-1a digest of
-//! every output.
+//! Viola-Jones scan, batched MLP forward, stereo block matching, FA window
+//! scoring) on deterministic workloads and prints an order-sensitive
+//! FNV-1a digest of every output.
 //!
 //! The CI `kernels` gate runs this experiment twice at `INCAM_THREADS=1`
 //! and once at `INCAM_THREADS=4` and byte-compares the transcripts —
@@ -20,7 +20,9 @@ use incam_imaging::convolve::{
 };
 use incam_imaging::image::GrayImage;
 use incam_imaging::integral::IntegralImage;
+use incam_imaging::resample::{resize_bilinear_reference, BilinearSampler};
 use incam_nn::mlp::Mlp;
+use incam_nn::quant::{ForwardScratch, QuantizedMlp};
 use incam_nn::sigmoid::Sigmoid;
 use incam_nn::topology::Topology;
 use incam_rng::rngs::StdRng;
@@ -191,6 +193,37 @@ pub fn run(seed: u64, quick: bool) -> String {
         f.write_f32(v);
     }
     report("block-match", f.finish(), bm_ok);
+
+    // 7. FA window scoring: a stride-4 grid of windows at the NN's input
+    //    side and around it (12 is upsampled), each sampled straight from
+    //    the pattern and scored by the fixed-point forward, in one reused
+    //    scratch, against crop → resize and the allocating forward
+    let auth = QuantizedMlp::from_mlp(
+        &Mlp::random(Topology::paper_default(), &mut rng),
+        8,
+        Sigmoid::lut256(),
+    );
+    let n = 20;
+    let mut sampler = BilinearSampler::default();
+    let mut window = vec![0.0; n * n];
+    let mut scratch = ForwardScratch::default();
+    let mut fa_ok = true;
+    let mut f = Digest::new();
+    for side in [12, 20, 24, 32, 44] {
+        for y in (0..=h - side).step_by(4) {
+            for x in (0..=w - side).step_by(4) {
+                sampler.sample_into(&img, (x, y, side, side), (n, n), &mut window);
+                let score = auth.forward_into(&window, &mut scratch)[0];
+                let reference = resize_bilinear_reference(&img.crop(x, y, side, side), n, n);
+                fa_ok &= window == reference.pixels()
+                    && score == auth.forward_reference(reference.pixels())[0];
+                for &v in window.iter().chain([&score]) {
+                    f.write_f32(v);
+                }
+            }
+        }
+    }
+    report("fa-window", f.finish(), fa_ok);
 
     out
 }

@@ -1,10 +1,106 @@
-//! Image resampling: bilinear resize and integer downscale.
+//! Image resampling: bilinear sampling and integer downscale.
 //!
-//! Used by the multi-scale Viola-Jones scan (the scanning window is scaled
-//! and passed over the scene multiple times), by the MS-SSIM pyramid, and
-//! by the synthetic workload generators.
+//! Used by the FA pipeline, which samples every NN window straight from
+//! the frame, by the NN training-set generators, and by the MS-SSIM
+//! pyramid.
 
 use crate::image::GrayImage;
+
+/// One output coordinate's bilinear taps along an axis: the two source
+/// indices, relative to the sampled rectangle, and the weight of the
+/// second.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    i0: usize,
+    i1: usize,
+    t: f32,
+}
+
+/// Fills `taps` for resampling `len` source pixels to `out_len`, with the
+/// expressions of [`resize_bilinear_reference`]: sample at the center of
+/// each destination pixel, clamped to the source span.
+fn fill_taps(taps: &mut Vec<Tap>, len: usize, out_len: usize) {
+    let s = len as f32 / out_len as f32;
+    taps.clear();
+    taps.extend((0..out_len).map(|i| {
+        let f = ((i as f32 + 0.5) * s - 0.5).clamp(0.0, (len - 1) as f32);
+        let i0 = f.floor() as usize;
+        Tap {
+            i0,
+            i1: (i0 + 1).min(len - 1),
+            t: f - i0 as f32,
+        }
+    }));
+}
+
+/// A bilinear sampler that reads a rectangle of an image straight into a
+/// caller-owned buffer.
+///
+/// It owns its per-axis tap tables, so a sampler reused across calls
+/// allocates nothing once the tables have grown to the largest output
+/// size. Taps are clamped to the rectangle, not the image, which makes a
+/// sampled rectangle bit-identical to cropping it and then resizing the
+/// crop.
+///
+/// # Examples
+///
+/// ```
+/// use incam_imaging::image::Image;
+/// use incam_imaging::resample::{resize_bilinear, BilinearSampler};
+///
+/// let img = Image::from_fn(8, 6, |x, y| (x * 3 + y) as f32 / 30.0);
+/// let mut window = vec![0.0; 4 * 4];
+/// BilinearSampler::default().sample_into(&img, (2, 1, 5, 5), (4, 4), &mut window);
+/// let resized = resize_bilinear(&img.crop(2, 1, 5, 5), 4, 4);
+/// assert_eq!(window, resized.pixels());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct BilinearSampler {
+    x: Vec<Tap>,
+    y: Vec<Tap>,
+}
+
+impl BilinearSampler {
+    /// Samples the `rect = (x, y, w, h)` rectangle of `img` at
+    /// `out = (out_w, out_h)` into `dst`, row-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either output dimension is zero, the rectangle is empty
+    /// or does not fit within `img`, or `dst.len() != out_w * out_h`.
+    pub fn sample_into(
+        &mut self,
+        img: &GrayImage,
+        rect: (usize, usize, usize, usize),
+        out: (usize, usize),
+        dst: &mut [f32],
+    ) {
+        let (rx, ry, w, h) = rect;
+        let (out_w, out_h) = out;
+        assert!(out_w > 0 && out_h > 0, "target dimensions must be nonzero");
+        assert!(
+            w > 0
+                && h > 0
+                && w <= img.width().saturating_sub(rx)
+                && h <= img.height().saturating_sub(ry),
+            "rectangle {w}x{h}+{rx}+{ry} is empty or exceeds {}x{}",
+            img.width(),
+            img.height()
+        );
+        assert_eq!(dst.len(), out_w * out_h, "destination length mismatch");
+        fill_taps(&mut self.x, w, out_w);
+        fill_taps(&mut self.y, h, out_h);
+        for (row, ty) in dst.chunks_exact_mut(out_w).zip(&self.y) {
+            let r0 = &img.row(ry + ty.i0)[rx..rx + w];
+            let r1 = &img.row(ry + ty.i1)[rx..rx + w];
+            for (d, tx) in row.iter_mut().zip(&self.x) {
+                let top = r0[tx.i0] * (1.0 - tx.t) + r0[tx.i1] * tx.t;
+                let bot = r1[tx.i0] * (1.0 - tx.t) + r1[tx.i1] * tx.t;
+                *d = top * (1.0 - ty.t) + bot * ty.t;
+            }
+        }
+    }
+}
 
 /// Resizes `img` to `new_w × new_h` with bilinear interpolation.
 ///
@@ -25,6 +121,23 @@ use crate::image::GrayImage;
 /// assert!(small.get(1, 0) > small.get(0, 0));
 /// ```
 pub fn resize_bilinear(img: &GrayImage, new_w: usize, new_h: usize) -> GrayImage {
+    let mut data = vec![0.0; new_w * new_h];
+    BilinearSampler::default().sample_into(
+        img,
+        (0, 0, img.width(), img.height()),
+        (new_w, new_h),
+        &mut data,
+    );
+    GrayImage::from_vec(new_w, new_h, data)
+}
+
+/// The original per-pixel formulation of [`resize_bilinear`], kept as the
+/// bitwise oracle for [`BilinearSampler::sample_into`].
+///
+/// # Panics
+///
+/// Panics if either target dimension is zero.
+pub fn resize_bilinear_reference(img: &GrayImage, new_w: usize, new_h: usize) -> GrayImage {
     assert!(new_w > 0 && new_h > 0, "target dimensions must be nonzero");
     let (w, h) = img.dims();
     let sx = w as f32 / new_w as f32;
@@ -74,19 +187,6 @@ pub fn downscale_by(img: &GrayImage, factor: usize) -> GrayImage {
     })
 }
 
-/// Scales an image by `1 / scale` in both dimensions (bilinear), as used
-/// by the image-pyramid form of the Viola-Jones multi-scale scan.
-///
-/// # Panics
-///
-/// Panics if `scale < 1.0` or the result would vanish.
-pub fn pyramid_level(img: &GrayImage, scale: f32) -> GrayImage {
-    assert!(scale >= 1.0, "pyramid scale must be >= 1.0, got {scale}");
-    let nw = ((img.width() as f32 / scale).round() as usize).max(1);
-    let nh = ((img.height() as f32 / scale).round() as usize).max(1);
-    resize_bilinear(img, nw, nh)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,13 +217,6 @@ mod tests {
         let img = Image::from_fn(8, 8, |x, y| ((x * y) % 5) as f32 / 5.0);
         let half = downscale_by(&img, 2);
         assert!((half.mean() - img.mean()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn pyramid_shrinks_by_scale() {
-        let img = GrayImage::zeros(100, 60);
-        let level = pyramid_level(&img, 1.25);
-        assert_eq!(level.dims(), (80, 48));
     }
 
     #[test]

@@ -7,8 +7,12 @@ use incam_imaging::convolve::{
 use incam_imaging::image::{GrayImage, Image};
 use incam_imaging::integral::IntegralImage;
 use incam_imaging::quality::{mse, psnr, ssim, SsimConfig};
-use incam_imaging::resample::{downscale_by, resize_bilinear};
+use incam_imaging::resample::{
+    downscale_by, resize_bilinear, resize_bilinear_reference, BilinearSampler,
+};
 use incam_rng::prelude::*;
+use incam_rng::rngs::StdRng;
+use incam_rng::{Rng, SeedableRng};
 
 fn arbitrary_image() -> impl Strategy<Value = GrayImage> {
     (4usize..32, 4usize..32, 0u64..10_000).prop_map(|(w, h, seed)| {
@@ -210,6 +214,54 @@ proptest! {
                     prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
                 }
             }
+        }
+    }
+
+    /// Sampling a rectangle straight from the image is bit-identical to
+    /// cropping it and resizing the crop with the original per-pixel
+    /// formulation: on images up to 64×64, rectangles down to one pixel on
+    /// a side, output sizes above and below the rectangle's, and a sampler
+    /// whose tap tables a different shape left behind. The whole-image
+    /// wrapper `resize_bilinear` matches the reference too.
+    #[test]
+    fn sampler_bitwise_equal_crop_then_resize_reference(
+        dims in (1usize..=64, 1usize..=64),
+        corner in (0usize..64, 0usize..64),
+        size in (1usize..=64, 1usize..=64),
+        thin in 0u8..4,
+        out in (1usize..=48, 1usize..=48),
+        seed in 0u64..10_000,
+    ) {
+        let (w, h) = dims;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let img = Image::from_fn(w, h, |_, _| rng.gen_range(-0.5f32..1.5));
+        let (x, y) = (corner.0 % w, corner.1 % h);
+        let rw = if thin & 1 == 1 { 1 } else { 1 + (size.0 - 1) % (w - x) };
+        let rh = if thin & 2 == 2 { 1 } else { 1 + (size.1 - 1) % (h - y) };
+        let (ow, oh) = out;
+
+        let mut sampler = BilinearSampler::default();
+        let mut dst = vec![0.0; oh * ow];
+        sampler.sample_into(&img, (0, 0, w, h), (oh, ow), &mut dst);
+        sampler.sample_into(&img, (x, y, rw, rh), (ow, oh), &mut dst);
+        let reference = resize_bilinear_reference(&img.crop(x, y, rw, rh), ow, oh);
+        for (a, b) in dst.iter().zip(reference.pixels()) {
+            prop_assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "rect {}x{}+{}+{} -> {}x{}",
+                rw,
+                rh,
+                x,
+                y,
+                ow,
+                oh
+            );
+        }
+        let whole = resize_bilinear(&img, ow, oh);
+        let whole_reference = resize_bilinear_reference(&img, ow, oh);
+        for (a, b) in whole.pixels().iter().zip(whole_reference.pixels()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -89,10 +89,34 @@ impl QFormat {
         self.max_code() as f32 * self.resolution()
     }
 
-    /// Quantizes with round-to-nearest and saturation.
+    /// Quantizes with round-to-nearest (ties away from zero) and
+    /// saturation.
     pub fn quantize(self, value: f32) -> i64 {
+        self.round_saturating(value / self.resolution())
+    }
+
+    /// The original `roundf` formulation of [`QFormat::quantize`], kept as
+    /// its bitwise oracle.
+    pub fn quantize_reference(self, value: f32) -> i64 {
         let scaled = (value / self.resolution()).round() as i64;
         scaled.clamp(self.min_code(), self.max_code())
+    }
+
+    /// Rounds a value already in LSB units to the nearest code, ties away
+    /// from zero, and saturates: exactly
+    /// `(scaled.round() as i64).clamp(min_code, max_code)` for every f32,
+    /// NaN included, without the `roundf` call.
+    #[inline]
+    fn round_saturating(self, scaled: f32) -> i64 {
+        let (lo, hi) = (self.min_code(), self.max_code());
+        // After the clamp |v| <= 2^31, so the truncation is exact and so is
+        // the fractional part `f`. NaN passes the clamp, truncates to 0 and
+        // fails both comparisons, as `round` would give it.
+        let v = scaled.clamp(lo as f32, hi as f32);
+        let t = v as i64;
+        let f = v - t as f32;
+        // branch-free on purpose: a branchy form mispredicts on real pixels
+        (t + i64::from(f >= 0.5) - i64::from(f <= -0.5)).clamp(lo, hi)
     }
 
     /// Reconstructs the real value of a code.
@@ -254,16 +278,73 @@ impl QuantizedMlp {
         self.peak_accumulator_bits.get()
     }
 
-    /// Integer forward pass.
+    /// Integer forward pass: [`QuantizedMlp::forward_into`] with a fresh
+    /// scratch.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the topology's input width.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
+        let mut scratch = ForwardScratch::default();
+        self.forward_into(input, &mut scratch);
+        scratch.output
+    }
+
+    /// Integer forward pass into caller-owned buffers, returning the last
+    /// layer's activations. Bit-identical to
+    /// [`QuantizedMlp::forward_reference`], `peak_accumulator_bits`
+    /// included, and allocation-free once `scratch` has grown to the
+    /// network's widest layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from the topology's input width.
+    pub fn forward_into<'s>(&self, input: &[f32], scratch: &'s mut ForwardScratch) -> &'s [f32] {
+        assert_eq!(input.len(), self.topology.inputs(), "input width mismatch");
+        let format = self.activation_format;
+        let resolution = format.resolution();
+        let ForwardScratch {
+            activation,
+            next,
+            output,
+        } = scratch;
+        activation.clear();
+        activation.extend(
+            input
+                .iter()
+                .map(|&x| format.round_saturating(x / resolution)),
+        );
+        let mut peak = 0;
+        for layer in &self.layers {
+            let acc_scale = layer.weight_format.frac_bits() + format.frac_bits();
+            let acc_lsb = (2.0f64).powi(-(acc_scale as i32));
+            next.clear();
+            output.clear();
+            for (row, &bias) in layer.weights.chunks_exact(layer.inputs).zip(&layer.biases) {
+                let acc = bias + dot(row, activation);
+                peak = peak.max(64 - acc.unsigned_abs().leading_zeros());
+                let a = self.sigmoid.eval((acc as f64 * acc_lsb) as f32);
+                next.push(format.round_saturating(a / resolution));
+                output.push(a);
+            }
+            std::mem::swap(activation, next);
+        }
+        let seen = &self.peak_accumulator_bits;
+        seen.set(seen.get().max(peak));
+        output
+    }
+
+    /// The original allocating formulation of [`QuantizedMlp::forward`],
+    /// kept as the bitwise oracle for [`QuantizedMlp::forward_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from the topology's input width.
+    pub fn forward_reference(&self, input: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.topology.inputs(), "input width mismatch");
         let mut activation: Vec<i64> = input
             .iter()
-            .map(|&x| self.activation_format.quantize(x))
+            .map(|&x| self.activation_format.quantize_reference(x))
             .collect();
 
         let mut output = Vec::new();
@@ -284,7 +365,7 @@ impl QuantizedMlp {
                 }
                 let z = (acc as f64 * acc_lsb) as f32;
                 let a = self.sigmoid.eval(z);
-                next.push(self.activation_format.quantize(a));
+                next.push(self.activation_format.quantize_reference(a));
                 next_real.push(a);
             }
             activation = next;
@@ -294,6 +375,36 @@ impl QuantizedMlp {
         }
         output
     }
+}
+
+/// Reusable buffers for [`QuantizedMlp::forward_into`]. One scratch serves
+/// networks of any shape; it grows to the widest layer it has seen.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardScratch {
+    activation: Vec<i64>,
+    next: Vec<i64>,
+    output: Vec<f32>,
+}
+
+/// `Σ w·x` over a weight row and the activations, summed in four
+/// independent lanes. Integer sums are exact in any order, so the lanes
+/// give the sequential loop's result while breaking its dependency chain.
+#[inline]
+fn dot(row: &[i64], activation: &[i64]) -> i64 {
+    let (w4, x4) = (row.chunks_exact(4), activation.chunks_exact(4));
+    let tail: i64 = w4
+        .remainder()
+        .iter()
+        .zip(x4.remainder())
+        .map(|(w, x)| w * x)
+        .sum();
+    let mut lanes = [0i64; 4];
+    for (w, x) in w4.zip(x4) {
+        for k in 0..4 {
+            lanes[k] += w[k] * x[k];
+        }
+    }
+    lanes.iter().sum::<i64>() + tail
 }
 
 #[cfg(test)]

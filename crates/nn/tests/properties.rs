@@ -2,12 +2,43 @@
 
 use incam_nn::eval::Confusion;
 use incam_nn::mlp::Mlp;
-use incam_nn::quant::{QFormat, QuantizedMlp};
+use incam_nn::quant::{ForwardScratch, QFormat, QuantizedMlp};
 use incam_nn::sigmoid::{sigmoid_exact, LutSigmoid, Sigmoid};
 use incam_nn::topology::Topology;
 use incam_rng::prelude::*;
 use incam_rng::rngs::StdRng;
 use incam_rng::SeedableRng;
+
+/// Scaled values where `roundf` and saturation are easiest to get wrong:
+/// signed zeros, NaN, infinities, exact ties, and the neighbourhoods of
+/// ±2^23 (where f32 stops holding fractions) and ±2^31 (the widest code).
+fn quantize_edges() -> Vec<f32> {
+    let mut edges = vec![0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for k in [
+        0.0f32,
+        1.0,
+        2.0,
+        7.0,
+        126.0,
+        127.0,
+        128.0,
+        4_194_303.0,
+        8_388_606.0,
+    ] {
+        edges.extend([k + 0.5, -(k + 0.5)]);
+    }
+    for anchor in [8_388_608.0f32, 2_147_483_648.0] {
+        let mut v = anchor;
+        for _ in 0..3 {
+            v = f32::from_bits(v.to_bits() - 1);
+        }
+        for _ in 0..7 {
+            edges.extend([v, -v]);
+            v = f32::from_bits(v.to_bits() + 1);
+        }
+    }
+    edges
+}
 
 proptest! {
     /// Topology counting identities: weights+biases == per-layer sums and
@@ -84,6 +115,67 @@ proptest! {
         } else {
             // saturated: reconstruction sits at a rail
             prop_assert!(back.abs() >= q.max_value().min(-q.dequantize(q.min_code())) - q.resolution());
+        }
+    }
+
+    /// The `roundf`-free quantizer equals the original expression on a
+    /// random f32 bit pattern and on every edge value, at every width from
+    /// 2 to 32 bits and at the narrowest, middle and widest fraction.
+    #[test]
+    fn quantize_bitwise_equal_roundf_reference(pattern in 0u32..=u32::MAX) {
+        let mut scaled = quantize_edges();
+        scaled.push(f32::from_bits(pattern));
+        for bits in 2u32..=32 {
+            for frac in [0, bits / 2, bits - 1] {
+                let q = QFormat::new(bits, frac);
+                // quantize divides by the resolution, a power of two, so
+                // scaling the probes by it leaves them exact
+                for &s in &scaled {
+                    for v in [s, s * q.resolution()] {
+                        prop_assert_eq!(
+                            q.quantize(v),
+                            q.quantize_reference(v),
+                            "Q{}.{} at {:e}",
+                            bits,
+                            frac,
+                            v
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scratch forward is bit-identical to the original allocating
+    /// loop, in its outputs and in `peak_accumulator_bits`: over 1–3
+    /// layers with fan-ins that are not multiples of four, 2- to 16-bit
+    /// datapaths, both sigmoids, inputs outside [0, 1], and one scratch
+    /// that a network of another shape used first.
+    #[test]
+    fn forward_into_bitwise_equal_reference(
+        layers in prop::collection::vec(1usize..41, 2..5),
+        data_bits in 2u32..=16,
+        exact in any::<bool>(),
+        seed in 0u64..5000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Mlp::random(Topology::new(layers.clone()), &mut rng);
+        let sigmoid = if exact { Sigmoid::Exact } else { Sigmoid::lut256() };
+        let fast = QuantizedMlp::from_mlp(&net, data_bits, sigmoid);
+        let reference = fast.clone();
+        let other = Mlp::random(Topology::new(vec![23, 9, 3]), &mut rng);
+        let other = QuantizedMlp::from_mlp(&other, 8, Sigmoid::lut256());
+        let mut scratch = ForwardScratch::default();
+        let _ = other.forward_into(&[0.7; 23], &mut scratch);
+        for _ in 0..4 {
+            let input: Vec<f32> = (0..layers[0]).map(|_| rng.gen_range(-3.0..3.0f32)).collect();
+            let a = fast.forward_into(&input, &mut scratch).to_vec();
+            let b = reference.forward_reference(&input);
+            prop_assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "layers {:?}", layers);
+            }
+            prop_assert_eq!(fast.peak_accumulator_bits(), reference.peak_accumulator_bits());
         }
     }
 

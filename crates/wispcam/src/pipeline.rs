@@ -16,9 +16,10 @@ use incam_core::energy::EnergyBreakdown;
 use incam_core::units::{Bytes, Fps, Joules, Watts};
 use incam_imaging::image::GrayImage;
 use incam_imaging::motion::MotionDetector;
-use incam_imaging::resample::resize_bilinear;
+use incam_imaging::resample::BilinearSampler;
 use incam_imaging::scenes::LabeledFrame;
 use incam_nn::eval::Confusion;
+use incam_nn::quant::ForwardScratch;
 use incam_snnap::sim::SnnapAccelerator;
 use incam_viola::hw::ViolaHwModel;
 use incam_viola::scan::{scan, Detection, ScanParams};
@@ -223,6 +224,15 @@ impl RunSummary {
     }
 }
 
+/// Buffers a run reuses for every window it scores, so scoring allocates
+/// nothing after the first window.
+#[derive(Debug, Default)]
+struct WindowScratch {
+    sampler: BilinearSampler,
+    window: Vec<f32>,
+    forward: ForwardScratch,
+}
+
 /// The assembled pipeline: blocks plus platform cost models.
 #[derive(Debug, Clone)]
 pub struct FaPipeline {
@@ -281,20 +291,32 @@ impl FaPipeline {
     }
 
     /// Scores one window with the authenticator, returning the NN output.
-    fn score_window(&self, frame: &GrayImage, det: &Detection) -> f32 {
+    /// The window is clamped into the frame and sampled straight from it,
+    /// bit-identical to cropping it and resizing the crop.
+    fn score_window(&self, frame: &GrayImage, det: &Detection, scratch: &mut WindowScratch) -> f32 {
         let (w, h) = frame.dims();
         let side = det.side.min(w).min(h);
         let x = det.x.min(w.saturating_sub(side));
         let y = det.y.min(h.saturating_sub(side));
-        let crop = frame.crop(x, y, side, side);
-        let window = resize_bilinear(&crop, self.config.nn_input_side, self.config.nn_input_side);
-        self.authenticator.infer(&window.to_vec_f32()).0
+        let n = self.config.nn_input_side;
+        scratch.window.resize(n * n, 0.0);
+        scratch
+            .sampler
+            .sample_into(frame, (x, y, side, side), (n, n), &mut scratch.window);
+        self.authenticator
+            .network()
+            .forward_into(&scratch.window, &mut scratch.forward)[0]
     }
 
     /// Scores a detection with small alignment jitter (the detector's box
     /// wobbles by a couple of pixels/one scale step around the face) and
     /// returns the best score plus the number of inferences spent.
-    fn score_detection_jittered(&self, frame: &GrayImage, det: &Detection) -> (f32, usize) {
+    fn score_detection_jittered(
+        &self,
+        frame: &GrayImage,
+        det: &Detection,
+        scratch: &mut WindowScratch,
+    ) -> (f32, usize) {
         // a small cross of alignment offsets at the detection's own scale;
         // searching a larger transform space and max-pooling would let any
         // face find *some* geometry that matches the enrollee
@@ -311,6 +333,7 @@ impl FaPipeline {
                     y,
                     side: det.side,
                 },
+                scratch,
             );
             if score > best {
                 best = score;
@@ -319,10 +342,10 @@ impl FaPipeline {
         (best, offsets.len())
     }
 
-    /// Candidate windows when no detector filters them: a dense grid.
-    fn grid_windows(&self, frame: &GrayImage) -> Vec<Detection> {
+    /// Appends the candidate windows used when no detector filters them:
+    /// a dense grid.
+    fn grid_windows(&self, frame: &GrayImage, windows: &mut Vec<Detection>) {
         let (w, h) = frame.dims();
-        let mut windows = Vec::new();
         for &side in &self.config.grid_sides {
             if side > w || side > h {
                 continue;
@@ -338,7 +361,6 @@ impl FaPipeline {
                 y += stride;
             }
         }
-        windows
     }
 
     /// Runs the pipeline over a frame stream and aggregates results.
@@ -366,6 +388,9 @@ impl FaPipeline {
         let mut in_event = false;
         let mut event_hit = false;
         let mut outcomes = Vec::with_capacity(frames.len());
+        // every frame clears and refills the one candidate list
+        let mut candidates = Vec::new();
+        let mut scratch = WindowScratch::default();
         self.motion.reset();
 
         for frame in frames {
@@ -399,7 +424,8 @@ impl FaPipeline {
             let mut authenticated = false;
             if motion {
                 // ---- optional block: face detection ---------------------
-                let candidates: Vec<Detection> = if self.config.face_detection {
+                candidates.clear();
+                if self.config.face_detection {
                     let cascade = &self
                         .detector
                         .as_ref()
@@ -413,14 +439,15 @@ impl FaPipeline {
                         }
                         Substrate::Mcu(mcu) => mcu.run_haar(result.stats.features).0,
                     };
-                    result
-                        .detections
-                        .into_iter()
-                        .take(self.config.max_detections_scored)
-                        .collect()
+                    candidates.extend(
+                        result
+                            .detections
+                            .into_iter()
+                            .take(self.config.max_detections_scored),
+                    );
                 } else {
-                    self.grid_windows(img)
-                };
+                    self.grid_windows(img, &mut candidates);
+                }
 
                 // ---- core block: NN face authentication -----------------
                 for det in &candidates {
@@ -428,9 +455,9 @@ impl FaPipeline {
                     // handful of inferences); the dense no-detector grid is
                     // already exhaustive and scores each window once
                     let (score, inferences) = if self.config.face_detection {
-                        self.score_detection_jittered(img, det)
+                        self.score_detection_jittered(img, det, &mut scratch)
                     } else {
-                        (self.score_window(img, det), 1)
+                        (self.score_window(img, det, &mut scratch), 1)
                     };
                     windows_scored += inferences;
                     let per_inference = match &self.config.substrate {
@@ -527,6 +554,7 @@ impl FaPipeline {
 mod tests {
     use super::*;
     use incam_imaging::faces::{render_face, render_non_face, Identity, Nuisance};
+    use incam_imaging::resample::{resize_bilinear, resize_bilinear_reference};
     use incam_imaging::scenes::{SecurityScene, SecuritySceneConfig};
     use incam_nn::mlp::Mlp;
     use incam_nn::topology::Topology;
@@ -724,6 +752,90 @@ mod tests {
             .unwrap()
             .energy;
         assert!(radio_r.joules() > 1000.0 * radio_v.joules());
+    }
+
+    /// One run's scratch, reused over a landscape and a portrait frame,
+    /// samples and scores every window bit-identically to the original
+    /// crop → resize → copy → allocating forward path: the dense grid,
+    /// windows smaller and larger than the frame, and jitter past its
+    /// right and bottom edges.
+    #[test]
+    fn window_scores_match_the_crop_and_resize_reference() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let net = Mlp::random(Topology::paper_default(), &mut rng);
+        let p = FaPipeline::new(
+            FaPipelineConfig::full_accelerated().with_blocks(false, false),
+            ImageSensor::wispcam_default(),
+            BackscatterRadio::wispcam_default(),
+            None,
+            ScanParams::default(),
+            SnnapAccelerator::new(&net, SnnapConfig::paper_default()),
+        );
+        let reference_window = |frame: &GrayImage, det: &Detection| {
+            let (w, h) = frame.dims();
+            let side = det.side.min(w).min(h);
+            let x = det.x.min(w.saturating_sub(side));
+            let y = det.y.min(h.saturating_sub(side));
+            resize_bilinear_reference(&frame.crop(x, y, side, side), 20, 20).to_vec_f32()
+        };
+        let reference = |frame: &GrayImage, det: &Detection| {
+            p.authenticator
+                .network()
+                .forward_reference(&reference_window(frame, det))[0]
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = WindowScratch::default();
+        let mut windows = Vec::new();
+        for (w, h) in [(64, 48), (48, 64)] {
+            let frame = GrayImage::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 97) as f32 / 97.0);
+            windows.clear();
+            p.grid_windows(&frame, &mut windows);
+            // detector-sized windows smaller than the NN input are upsampled
+            let edges = [
+                (5, 7, 16),
+                (w - 16, h - 16, 16),
+                (0, 0, 80),
+                (3, 5, 56),
+                (w - 12, 4, 20),
+                (2, h - 10, 24),
+                (w - 20, h - 20, 20),
+                (w - 3, h - 3, 32),
+            ];
+            windows.extend(edges.map(|(x, y, side)| Detection { x, y, side }));
+            for det in &windows {
+                let fast = p.score_window(&frame, det, &mut scratch);
+                assert_eq!(
+                    bits(&scratch.window),
+                    bits(&reference_window(&frame, det)),
+                    "{w}x{h} {det:?}"
+                );
+                assert_eq!(
+                    fast.to_bits(),
+                    reference(&frame, det).to_bits(),
+                    "{w}x{h} {det:?}"
+                );
+            }
+            for (x, y, side) in edges {
+                let det = Detection { x, y, side };
+                let j = (side / 8).max(1);
+                let best = [
+                    (x, y),
+                    (x.saturating_sub(j), y),
+                    (x + j, y),
+                    (x, y.saturating_sub(j)),
+                    (x, y + j),
+                ]
+                .map(|(x, y)| reference(&frame, &Detection { x, y, side }))
+                .into_iter()
+                .fold(0.0f32, f32::max);
+                let (score, inferences) = p.score_detection_jittered(&frame, &det, &mut scratch);
+                assert_eq!(
+                    (score.to_bits(), inferences),
+                    (best.to_bits(), 5),
+                    "{w}x{h} {det:?}"
+                );
+            }
+        }
     }
 
     #[test]
