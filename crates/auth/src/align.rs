@@ -5,10 +5,17 @@
 //! mapped onto fixed canonical positions by a four-parameter similarity
 //! transform (rotation + uniform scale + translation), and the probe is
 //! resampled through that transform with a bilinear warp. Downscaling
-//! warps are pre-smoothed with [`incam_imaging::convolve::gaussian_blur`]
-//! so decimation does not alias — the same resample discipline as
+//! warps are pre-smoothed with a Gaussian blur so decimation does not
+//! alias — the same resample discipline as
 //! [`incam_imaging::resample::resize_bilinear`], whose pixel-center
 //! convention the warp follows exactly.
+//!
+//! [`align_face_into`] is the serving path: it writes the Gaussian taps,
+//! the blurred probe ([`convolve_separable_into`]) and the warped window
+//! into an [`AlignScratch`] the caller reuses, so a steady-state
+//! alignment allocates nothing. [`align_face`] wraps it with a fresh
+//! scratch; [`align_face_reference`] keeps the allocating
+//! blur-then-warp formulation as its bitwise oracle.
 //!
 //! Alignment is a *fallible* stage: landmarks that are degenerate
 //! (coincident eyes, non-finite coordinates) or that imply an extreme
@@ -16,7 +23,9 @@
 //! the verify service maps that error to a fail-closed `Fallback` — never
 //! an `Accept` on a garbage crop.
 
-use incam_imaging::convolve::gaussian_blur;
+use incam_imaging::convolve::{
+    convolve_separable_into, gaussian_blur, gaussian_kernel_into, SeparableScratch,
+};
 use incam_imaging::faces::{Identity, Nuisance};
 use incam_imaging::image::GrayImage;
 
@@ -171,22 +180,118 @@ impl SimilarityTransform {
     }
 }
 
+/// Gaussian sigma that pre-smooths a warp of magnification `scale`, or
+/// `None` when the warp does not decimate. Matched like a mipmap: sigma
+/// covers the source footprint of one canonical pixel.
+fn antialias_sigma(scale: f32) -> Option<f32> {
+    (scale > 1.0).then(|| 0.5 * (scale * scale - 1.0).sqrt())
+}
+
+/// Reusable buffers for [`align_face_into`]: the blur's taps, its ring
+/// and output, and the warped window. One scratch serves probes and
+/// windows of any size; it grows to the largest it has seen.
+#[derive(Debug, Clone, Default)]
+pub struct AlignScratch {
+    taps: Vec<f32>,
+    blur: SeparableScratch,
+    window: Vec<f32>,
+}
+
+/// Aligns a probe face to the `side × side` canonical pose given its eye
+/// landmarks, in caller-owned buffers, returning the row-major window.
+///
+/// Bit-identical to [`align_face_reference`]: the blur is the same fused
+/// separable convolution with the same taps, and the warp truncates its
+/// source coordinate with `as usize` where the reference calls
+/// `floor()`, which is the same integer because the coordinate is
+/// clamped to `[0, w − 1]` just before.
+///
+/// # Errors
+///
+/// Propagates [`SimilarityTransform::from_eye_pairs`] errors — the
+/// caller (the verify service) maps them to a fail-closed fallback.
+pub fn align_face_into<'s>(
+    probe: &GrayImage,
+    landmarks: &EyeLandmarks,
+    side: usize,
+    scratch: &'s mut AlignScratch,
+) -> Result<&'s [f32], AlignError> {
+    let transform = SimilarityTransform::from_eye_pairs(landmarks, &canonical_eyes(side))?;
+    let AlignScratch { taps, blur, window } = scratch;
+    let sampled = match antialias_sigma(transform.scale()) {
+        Some(sigma) => {
+            gaussian_kernel_into(sigma, taps);
+            convolve_separable_into(probe, taps, blur)
+        }
+        None => probe.pixels(),
+    };
+    let (w, h) = probe.dims();
+    window.clear();
+    for y in 0..side {
+        for x in 0..side {
+            let (fx, fy) = transform.apply(x as f32 + 0.5, y as f32 + 0.5);
+            let fx = (fx - 0.5).clamp(0.0, (w - 1) as f32);
+            let fy = (fy - 0.5).clamp(0.0, (h - 1) as f32);
+            let x0 = fx as usize;
+            let y0 = fy as usize;
+            let x1 = (x0 + 1).min(w - 1);
+            let y1 = (y0 + 1).min(h - 1);
+            let tx = fx - x0 as f32;
+            let ty = fy - y0 as f32;
+            let (r0, r1) = (&sampled[y0 * w..][..w], &sampled[y1 * w..][..w]);
+            let top = r0[x0] * (1.0 - tx) + r0[x1] * tx;
+            let bot = r1[x0] * (1.0 - tx) + r1[x1] * tx;
+            window.push(top * (1.0 - ty) + bot * ty);
+        }
+    }
+    Ok(window)
+}
+
+/// Aligns a probe face to the `side × side` canonical pose given its eye
+/// landmarks: [`align_face_into`] with a fresh scratch.
+///
+/// # Errors
+///
+/// Propagates [`SimilarityTransform::from_eye_pairs`] errors — the
+/// caller (the verify service) maps them to a fail-closed fallback.
+pub fn align_face(
+    probe: &GrayImage,
+    landmarks: &EyeLandmarks,
+    side: usize,
+) -> Result<GrayImage, AlignError> {
+    let mut scratch = AlignScratch::default();
+    align_face_into(probe, landmarks, side, &mut scratch)?;
+    Ok(GrayImage::from_vec(side, side, scratch.window))
+}
+
+/// The original allocating alignment (Gaussian blur into a new image,
+/// then a `floor`-based bilinear warp into another) — the bitwise oracle
+/// for [`align_face_into`] and the "before" side of its microbenchmark.
+///
+/// # Errors
+///
+/// Propagates [`SimilarityTransform::from_eye_pairs`] errors.
+pub fn align_face_reference(
+    probe: &GrayImage,
+    landmarks: &EyeLandmarks,
+    side: usize,
+) -> Result<GrayImage, AlignError> {
+    let transform = SimilarityTransform::from_eye_pairs(landmarks, &canonical_eyes(side))?;
+    Ok(warp_bilinear(probe, &transform, side))
+}
+
 /// Warps `src` through `transform` onto a `side × side` canonical
 /// window with clamped bilinear sampling. Downscaling transforms
 /// (scale > 1) are pre-smoothed with a Gaussian matched to the
 /// decimation factor so the warp does not alias.
-pub fn warp_bilinear(src: &GrayImage, transform: &SimilarityTransform, side: usize) -> GrayImage {
-    assert!(side > 0, "canonical window side must be nonzero");
-    let scale = transform.scale();
-    // anti-alias filter for decimating warps, matched like a mipmap:
-    // sigma covers the source footprint of one canonical pixel
+fn warp_bilinear(src: &GrayImage, transform: &SimilarityTransform, side: usize) -> GrayImage {
     let smoothed;
-    let sampled: &GrayImage = if scale > 1.0 {
-        let sigma = 0.5 * (scale * scale - 1.0).sqrt();
-        smoothed = gaussian_blur(src, sigma);
-        &smoothed
-    } else {
-        src
+    let sampled: &GrayImage = match antialias_sigma(transform.scale()) {
+        Some(sigma) => {
+            smoothed = gaussian_blur(src, sigma);
+            &smoothed
+        }
+        None => src,
     };
     let (w, h) = sampled.dims();
     GrayImage::from_fn(side, side, |x, y| {
@@ -205,22 +310,6 @@ pub fn warp_bilinear(src: &GrayImage, transform: &SimilarityTransform, side: usi
         let bot = sampled.get(x0, y1) * (1.0 - tx) + sampled.get(x1, y1) * tx;
         top * (1.0 - ty) + bot * ty
     })
-}
-
-/// Aligns a probe face to the `side × side` canonical pose given its eye
-/// landmarks.
-///
-/// # Errors
-///
-/// Propagates [`SimilarityTransform::from_eye_pairs`] errors — the
-/// caller (the verify service) maps them to a fail-closed fallback.
-pub fn align_face(
-    probe: &GrayImage,
-    landmarks: &EyeLandmarks,
-    side: usize,
-) -> Result<GrayImage, AlignError> {
-    let transform = SimilarityTransform::from_eye_pairs(landmarks, &canonical_eyes(side))?;
-    Ok(warp_bilinear(probe, &transform, side))
 }
 
 #[cfg(test)]

@@ -4,10 +4,13 @@
 //! random (seeded) hidden layers act as a locality-sensitive projection
 //! of the pixel window, which is enough for the synthetic renderer's
 //! identity manifold and keeps the head fully deterministic without a
-//! training loop in the serving path. Batches go through
-//! [`Mlp::forward_batch`], whose outputs are byte-identical at any
-//! `INCAM_THREADS` setting, so verify transcripts stay reproducible
-//! under threading.
+//! training loop in the serving path. The network is packed once at
+//! construction ([`Mlp::pack`]) and shared by every clone of the head;
+//! [`EmbeddingHead::embed_into`] runs mean-face and DC removal, the
+//! packed forward pass and the debias in an [`EmbedScratch`] the caller
+//! reuses, so only the returned [`Embedding`] allocates.
+//! [`EmbeddingHead::embed_reference`] keeps the allocating formulation
+//! (through [`Mlp::forward`]) as its bitwise oracle.
 //!
 //! Embeddings are unit-normalized at construction; matching is a plain
 //! dot product (cosine similarity). A window whose activation collapses
@@ -18,9 +21,11 @@
 use crate::align::{align_face, EyeLandmarks};
 use incam_imaging::faces::{render_face, Identity, Nuisance};
 use incam_imaging::image::GrayImage;
+use incam_nn::mlp::{ActivationBuffers, PackedMlp};
 use incam_nn::{Mlp, Sigmoid, Topology};
 use incam_rng::rngs::StdRng;
 use incam_rng::SeedableRng;
+use std::sync::Arc;
 
 /// Why an embedding could not be produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +105,8 @@ const MEAN_FACE_SAMPLES: usize = 16;
 #[derive(Debug, Clone)]
 pub struct EmbeddingHead {
     mlp: Mlp,
+    /// `mlp` packed once; clones share it.
+    packed: Arc<PackedMlp>,
     side: usize,
     sigmoid: Sigmoid,
     baseline: Vec<f32>,
@@ -121,6 +128,7 @@ impl EmbeddingHead {
         let baseline = mlp.forward(&vec![0.0; side * side], &sigmoid);
         let mean_face = mean_face(side, &mut rng);
         Self {
+            packed: Arc::new(mlp.pack()),
             mlp,
             side,
             sigmoid,
@@ -139,50 +147,87 @@ impl EmbeddingHead {
         &self.mlp
     }
 
-    /// Embeds one aligned window.
+    /// Embeds one aligned window: [`EmbeddingHead::embed_into`] with a
+    /// fresh scratch.
     ///
     /// # Errors
     ///
     /// [`EmbedError::BadWindow`] on a size mismatch,
     /// [`EmbedError::DegenerateVector`] if normalization fails.
     pub fn embed(&self, window: &GrayImage) -> Result<Embedding, EmbedError> {
-        let expected = self.side * self.side;
-        if window.len() != expected {
-            return Err(EmbedError::BadWindow {
-                expected,
-                got: window.len(),
-            });
-        }
-        let input = self.preprocess(window);
-        Embedding::from_raw(self.debias(self.mlp.forward(&input, &self.sigmoid)))
+        self.embed_into(window.pixels(), &mut EmbedScratch::default())
     }
 
-    /// Embeds a batch of aligned windows through
-    /// [`Mlp::forward_batch`] (deterministically parallel). Any window
-    /// failing size or normalization checks fails the whole batch —
+    /// Embeds a batch of aligned windows through one reused scratch. Any
+    /// window failing size or normalization checks fails the whole batch —
     /// callers embed per-request batches, so one bad probe must not be
-    /// silently dropped.
+    /// silently dropped. Every window's size is checked before any is
+    /// embedded, so a size error wins over a normalization error.
     ///
     /// # Errors
     ///
-    /// First [`EmbedError`] encountered across the batch.
+    /// The first [`EmbedError::BadWindow`] across the batch, else the
+    /// first [`EmbedError::DegenerateVector`].
     pub fn embed_batch(&self, windows: &[GrayImage]) -> Result<Vec<Embedding>, EmbedError> {
-        let expected = self.side * self.side;
-        let mut inputs = Vec::with_capacity(windows.len());
         for window in windows {
-            if window.len() != expected {
-                return Err(EmbedError::BadWindow {
-                    expected,
-                    got: window.len(),
-                });
-            }
-            inputs.push(self.preprocess(window));
+            self.check_window(window.pixels())?;
         }
-        self.mlp
-            .forward_batch(&inputs, &self.sigmoid)
-            .into_iter()
-            .map(|raw| Embedding::from_raw(self.debias(raw)))
+        let mut scratch = EmbedScratch::default();
+        windows
+            .iter()
+            .map(|window| self.embed_into(window.pixels(), &mut scratch))
             .collect()
+    }
+
+    /// Embeds one row-major aligned window in caller-owned buffers:
+    /// mean-face and DC removal, the packed forward pass and the debias
+    /// run in `scratch`, so only the returned [`Embedding`] allocates.
+    /// Bit-identical to [`EmbeddingHead::embed_reference`].
+    ///
+    /// # Errors
+    ///
+    /// [`EmbedError::BadWindow`] on a size mismatch,
+    /// [`EmbedError::DegenerateVector`] if normalization fails.
+    pub fn embed_into(
+        &self,
+        window: &[f32],
+        scratch: &mut EmbedScratch,
+    ) -> Result<Embedding, EmbedError> {
+        self.check_window(window)?;
+        let EmbedScratch { input, buffers } = scratch;
+        input.clear();
+        input.extend(window.iter().zip(&self.mean_face).map(|(p, m)| p - m));
+        let mean = input.iter().sum::<f32>() / input.len() as f32;
+        for v in input.iter_mut() {
+            *v -= mean;
+        }
+        Embedding::from_raw(self.debias(self.packed.forward_into(input, &self.sigmoid, buffers)))
+    }
+
+    /// The original allocating embed (preprocess into a new `Vec`,
+    /// [`Mlp::forward`], debias, normalize) — the bitwise oracle for
+    /// [`EmbeddingHead::embed_into`].
+    ///
+    /// # Errors
+    ///
+    /// As [`EmbeddingHead::embed`].
+    pub fn embed_reference(&self, window: &GrayImage) -> Result<Embedding, EmbedError> {
+        self.check_window(window.pixels())?;
+        let input = self.preprocess(window);
+        Embedding::from_raw(self.debias(&self.mlp.forward(&input, &self.sigmoid)))
+    }
+
+    /// Rejects a window whose pixel count is not `side²`.
+    fn check_window(&self, window: &[f32]) -> Result<(), EmbedError> {
+        let expected = self.side * self.side;
+        if window.len() == expected {
+            Ok(())
+        } else {
+            Err(EmbedError::BadWindow {
+                expected,
+                got: window.len(),
+            })
+        }
     }
 
     /// Subtracts the head's flat-window baseline from a raw forward
@@ -190,11 +235,8 @@ impl EmbeddingHead {
     /// same bias-driven offset; left in place it would pin all
     /// embeddings near one point of the sphere and inflate impostor
     /// cosines.
-    fn debias(&self, raw: Vec<f32>) -> Vec<f32> {
-        raw.into_iter()
-            .zip(&self.baseline)
-            .map(|(v, b)| v - b)
-            .collect()
+    fn debias(&self, raw: &[f32]) -> Vec<f32> {
+        raw.iter().zip(&self.baseline).map(|(v, b)| v - b).collect()
     }
 
     /// Turns a window into an MLP input: subtracts the mean face (all
@@ -212,6 +254,15 @@ impl EmbeddingHead {
         let mean = deltas.iter().sum::<f32>() / deltas.len() as f32;
         deltas.into_iter().map(|v| v - mean).collect()
     }
+}
+
+/// Reusable buffers for [`EmbeddingHead::embed_into`]: the preprocessed
+/// input and the forward pass's activations. One scratch serves heads of
+/// any size; it grows to the largest it has seen.
+#[derive(Debug, Clone, Default)]
+pub struct EmbedScratch {
+    input: Vec<f32>,
+    buffers: ActivationBuffers,
 }
 
 /// The population mean face: `MEAN_FACE_SAMPLES` clean identities
@@ -334,5 +385,13 @@ mod tests {
             Embedding::from_raw(vec![f32::NAN; EMBED_DIM]),
             Err(EmbedError::DegenerateVector)
         );
+        // the mean face centres to the all-zero input, whose debiased
+        // output is the zero vector; a batch reports the size error first
+        let flat = GrayImage::from_vec(SIDE, SIDE, head.mean_face.clone());
+        assert_eq!(head.embed(&flat), Err(EmbedError::DegenerateVector));
+        assert!(matches!(
+            head.embed_batch(&[flat, wrong]),
+            Err(EmbedError::BadWindow { .. })
+        ));
     }
 }

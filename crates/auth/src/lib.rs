@@ -17,7 +17,7 @@
 //! Modules mirror the request's journey:
 //!
 //! - [`align`] — landmarks → similarity transform → warped window
-//! - [`embed`] — window → unit-norm embedding ([`incam_nn`] batch path)
+//! - [`embed`] — window → unit-norm embedding ([`incam_nn`] packed forward)
 //! - [`gallery`] — enroll / update / revoke, max-cosine matching
 //! - [`breaker`] — deterministic circuit breaker on the tick schedule
 //! - [`service`] — the verify loop: admission → stages → verdict

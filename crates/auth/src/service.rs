@@ -3,12 +3,15 @@
 //!
 //! A [`VerifyRequest`] travels admission → align → embed → match →
 //! verdict. Admission is a bounded-queue ingest tier (the
-//! [`incam_fleet::ingest`] state machine) with batch service so the
-//! embed stage genuinely runs through [`forward_batch`]; the breaker
-//! sheds load after consecutive faults; every stage and the upload at
-//! the offload cut run under [`RetryPolicy`] backoff against a
+//! [`incam_fleet::ingest`] state machine) with batch service; the
+//! breaker sheds load after consecutive faults; every stage and the
+//! upload at the offload cut run under [`RetryPolicy`] backoff against a
 //! [`FaultOracle`]; elapsed *modeled* time is checked against the
-//! request's deadline after every stage.
+//! request's deadline after every stage. Each request that survives the
+//! modeled pipeline is aligned, embedded and matched on its own, in an
+//! [`AlignScratch`] and an [`EmbedScratch`] the service owns and reuses
+//! across batches and runs, so a steady-state request allocates only its
+//! embedding.
 //!
 //! **Fail-closed:** the only path to [`Verdict::Accept`] runs the
 //! complete pipeline inside the deadline with every final attempt
@@ -16,12 +19,10 @@
 //! exhaustion, lost upload, deadline miss, shed, overflow, or internal
 //! error becomes a [`Verdict::Fallback`] — the door stays locked and
 //! the caller is told to use its secondary factor.
-//!
-//! [`forward_batch`]: incam_nn::Mlp::forward_batch
 
-use crate::align::{align_face, EyeLandmarks};
+use crate::align::{align_face_into, AlignScratch, EyeLandmarks};
 use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
-use crate::embed::{EmbedError, Embedding, EmbeddingHead};
+use crate::embed::{EmbedError, EmbedScratch, Embedding, EmbeddingHead};
 use crate::gallery::Gallery;
 use incam_core::link::Link;
 use incam_core::report::Table;
@@ -397,13 +398,16 @@ enum ModelOutcome {
 }
 
 /// The verify service: gallery + embedding head + breaker + admission
-/// queue + offload plan.
+/// queue + offload plan, and the align and embed scratch every request
+/// reuses.
 pub struct VerifyService {
     head: EmbeddingHead,
     gallery: Gallery,
     plan: VerifyPlan,
     config: ServiceConfig,
     breaker: CircuitBreaker,
+    align: AlignScratch,
+    embed: EmbedScratch,
 }
 
 impl VerifyService {
@@ -423,6 +427,8 @@ impl VerifyService {
             plan,
             config,
             breaker,
+            align: AlignScratch::default(),
+            embed: EmbedScratch::default(),
         }
     }
 
@@ -486,13 +492,7 @@ impl VerifyService {
                 BreakerDecision::Probe => {
                     // probes bypass the batch queue: the breaker needs a
                     // prompt health signal
-                    let outcome = self.serve_one(request, tick, tick, oracle, &mut report);
-                    let faulted = matches!(
-                        outcome.verdict,
-                        Verdict::Fallback(r) if r.is_infra_fault()
-                    );
-                    self.breaker.record(tick, faulted);
-                    self.finish(idx, outcome, &mut served, &mut report);
+                    self.serve_one(idx, tick, requests, oracle, &mut served, &mut report);
                     continue;
                 }
                 BreakerDecision::Admit => {}
@@ -599,8 +599,7 @@ impl VerifyService {
         }
     }
 
-    /// Serves one cut batch at `serve_tick`: modeled pipeline per
-    /// member, then one batched embed over the functional survivors.
+    /// Serves one cut batch at `serve_tick`, member by member.
     fn serve_batch(
         &mut self,
         members: &[u64],
@@ -610,116 +609,66 @@ impl VerifyService {
         served: &mut [Option<Served>],
         report: &mut ServiceReport,
     ) {
-        // phase 1: modeled time/energy/faults per member
-        let mut outcomes: Vec<(usize, Served)> = Vec::with_capacity(members.len());
-        let mut functional: Vec<(usize, GrayImage)> = Vec::new();
         for &member in members {
-            let idx = member as usize;
-            let request = &requests[idx];
-            let wait = self.config.tick_period * serve_tick.saturating_sub(member) as f64;
-            let mut energy = Joules::ZERO;
-            let model = self.run_model(request, wait, oracle, &mut energy, report);
-            let (latency, verdict) = match model {
-                ModelOutcome::Fell(reason, latency) => (latency, Some(Verdict::Fallback(reason))),
-                ModelOutcome::Survived(latency) => {
-                    match align_face(
-                        &request.probe.image,
-                        &request.probe.landmarks,
-                        self.head.side(),
-                    ) {
-                        Err(_) => (
-                            latency,
-                            Some(Verdict::Fallback(FallbackReason::AlignFailed)),
-                        ),
-                        Ok(window) => {
-                            functional.push((outcomes.len(), window));
-                            (latency, None)
-                        }
-                    }
-                }
-            };
-            let faulted = matches!(verdict, Some(Verdict::Fallback(r)) if r.is_infra_fault());
-            self.breaker.record(serve_tick, faulted);
-            outcomes.push((
-                idx,
-                Served {
-                    // placeholder verdict; survivors are scored below
-                    verdict: verdict.unwrap_or(Verdict::Fallback(FallbackReason::EmbedFailed)),
-                    latency,
-                    energy,
-                },
-            ));
-        }
-
-        // phase 2: one forward_batch over every aligned survivor
-        if !functional.is_empty() {
-            let windows: Vec<GrayImage> = functional.iter().map(|(_, w)| w.clone()).collect();
-            match self.head.embed_batch(&windows) {
-                Ok(embeddings) => {
-                    for ((slot, _), embedding) in functional.iter().zip(embeddings) {
-                        let user = requests[outcomes[*slot].0].user;
-                        outcomes[*slot].1.verdict = self.judge(user, Ok(embedding));
-                    }
-                }
-                Err(_) => {
-                    // one degenerate window failed the batch call; score
-                    // the rest individually so it poisons only itself
-                    for (slot, window) in &functional {
-                        let user = requests[outcomes[*slot].0].user;
-                        outcomes[*slot].1.verdict = self.judge(user, self.head.embed(window));
-                    }
-                }
-            }
-        }
-
-        for (idx, outcome) in outcomes {
-            self.finish(idx, outcome, served, report);
+            self.serve_one(
+                member as usize,
+                serve_tick,
+                requests,
+                oracle,
+                served,
+                report,
+            );
         }
     }
 
-    /// Serves a single request immediately (breaker probe path).
+    /// Serves request `idx` at `serve_tick`: the modeled pipeline, then,
+    /// if it survives, align → embed → match. Records the outcome with
+    /// the breaker and into the run.
     fn serve_one(
         &mut self,
-        request: &VerifyRequest,
-        arrival_tick: u64,
+        idx: usize,
         serve_tick: u64,
+        requests: &[VerifyRequest],
         oracle: &impl FaultOracle,
+        served: &mut [Option<Served>],
         report: &mut ServiceReport,
-    ) -> Served {
-        let wait = self.config.tick_period * serve_tick.saturating_sub(arrival_tick) as f64;
+    ) {
+        let request = &requests[idx];
+        // request `idx` arrived at tick `idx`
+        let wait = self.config.tick_period * serve_tick.saturating_sub(idx as u64) as f64;
         let mut energy = Joules::ZERO;
-        match self.run_model(request, wait, oracle, &mut energy, report) {
-            ModelOutcome::Fell(reason, latency) => Served {
-                verdict: Verdict::Fallback(reason),
+        let (verdict, latency) = match self.run_model(request, wait, oracle, &mut energy, report) {
+            ModelOutcome::Fell(reason, latency) => (Verdict::Fallback(reason), latency),
+            ModelOutcome::Survived(latency) if !self.gallery.contains(request.user) => {
+                (Verdict::Fallback(FallbackReason::UnknownUser), latency)
+            }
+            ModelOutcome::Survived(latency) => (self.score(request), latency),
+        };
+        let faulted = matches!(verdict, Verdict::Fallback(r) if r.is_infra_fault());
+        self.breaker.record(serve_tick, faulted);
+        self.finish(
+            idx,
+            Served {
+                verdict,
                 latency,
                 energy,
             },
-            ModelOutcome::Survived(latency) => {
-                let verdict = if !self.gallery.contains(request.user) {
-                    Verdict::Fallback(FallbackReason::UnknownUser)
-                } else {
-                    self.score(request)
-                };
-                Served {
-                    verdict,
-                    latency,
-                    energy,
-                }
-            }
-        }
+            served,
+            report,
+        );
     }
 
-    /// Functional align → embed → match for one request.
-    fn score(&self, request: &VerifyRequest) -> Verdict {
-        let window = match align_face(
-            &request.probe.image,
-            &request.probe.landmarks,
-            self.head.side(),
-        ) {
-            Ok(w) => w,
-            Err(_) => return Verdict::Fallback(FallbackReason::AlignFailed),
+    /// Functional align → embed → match for one request, in the service's
+    /// scratch.
+    fn score(&mut self, request: &VerifyRequest) -> Verdict {
+        let probe = &request.probe;
+        let side = self.head.side();
+        let Ok(window) = align_face_into(&probe.image, &probe.landmarks, side, &mut self.align)
+        else {
+            return Verdict::Fallback(FallbackReason::AlignFailed);
         };
-        self.judge(request.user, self.head.embed(&window))
+        let embedding = self.head.embed_into(window, &mut self.embed);
+        self.judge(request.user, embedding)
     }
 
     /// The scoring rule: a match against `user`'s templates at or above
@@ -857,7 +806,7 @@ impl VerifyService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::align::EyeLandmarks;
+    use crate::align::{align_face, EyeLandmarks};
     use incam_core::runtime::{IdealOracle, LinkCondition};
     use incam_core::units::BytesPerSec;
     use incam_imaging::faces::{render_face, Identity, Nuisance};

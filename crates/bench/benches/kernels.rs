@@ -1,16 +1,20 @@
 //! Before/after microbenchmarks for the hot-kernel speed pass: each of
-//! the seven reworked kernels (separable convolution, integral image,
-//! bilateral grid pipeline, Viola-Jones scan, batched MLP forward, stereo
-//! block matching, FA window scoring) is measured against the original
-//! formulation it replaced, which every crate keeps as a `*_reference`
-//! oracle. All pairs compute bit-identical outputs — only the wall clock
-//! differs.
+//! the eight reworked kernels (separable convolution, integral image,
+//! bilateral grid pipeline, Viola-Jones scan, batched and packed MLP
+//! forward, stereo block matching, FA window scoring, verify alignment)
+//! is measured against the original formulation it replaced, which every
+//! crate keeps as a `*_reference` oracle. All pairs compute bit-identical
+//! outputs — only the wall clock differs.
 //!
 //! Runs pinned to one worker thread: single-thread throughput is the
 //! quantity the rework targets (pool scaling is the separate `parallel`
 //! bench's job). Results land in `BENCH_kernels.json` (see
 //! `INCAM_BENCH_DIR`); `results/kernel-speed.txt` records the methodology.
 
+use incam_auth::align::{align_face_into, align_face_reference, AlignScratch};
+use incam_auth::fleet::{build_service, request_trace, ProbePool};
+use incam_auth::service::{Probe, ServiceConfig};
+use incam_bench::experiments::verify::{canonical_load, canonical_plan};
 use incam_bilateral::grid::{BilateralGrid, GridParams};
 use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::convolve::{convolve_separable, convolve_separable_reference, gaussian_kernel};
@@ -18,7 +22,7 @@ use incam_imaging::image::GrayImage;
 use incam_imaging::integral::IntegralImage;
 use incam_imaging::resample::{resize_bilinear_reference, BilinearSampler};
 use incam_imaging::scenes::{stereo_scene, SecurityScene, SecuritySceneConfig};
-use incam_nn::mlp::Mlp;
+use incam_nn::mlp::{ActivationBuffers, Mlp};
 use incam_nn::quant::ForwardScratch;
 use incam_nn::sigmoid::Sigmoid;
 use incam_nn::topology::Topology;
@@ -138,13 +142,16 @@ fn bench_viola(c: &mut Criterion) {
 }
 
 /// Batched MLP forward: flat tiled matmul vs independent per-example
-/// forwards.
+/// forwards. Packed forward at the verify head's shape (400 → 64 → 32):
+/// weights packed once and 256 inputs run through reused buffers vs
+/// `Mlp::forward` per input.
 fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let net = Mlp::random(Topology::new(vec![400, 8, 1]), &mut rng);
     let batch: Vec<Vec<f32>> = (0..256)
         .map(|_| (0..400).map(|_| rng.gen_range(0.0..1.0)).collect())
         .collect();
+    let head = Mlp::random(Topology::new(vec![400, 64, 32]), &mut rng);
     let mut group = c.benchmark_group("nn");
     group.bench_function(BenchmarkId::new("forward_batch_256x400", "after"), |b| {
         single_thread(|| b.iter(|| net.forward_batch(black_box(&batch), &Sigmoid::Exact)));
@@ -152,6 +159,26 @@ fn bench_nn(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("forward_batch_256x400", "before"), |b| {
         single_thread(|| {
             b.iter(|| net.forward_batch_reference(black_box(&batch), &Sigmoid::Exact))
+        });
+    });
+    group.bench_function(BenchmarkId::new("forward_400x64x32", "after"), |b| {
+        let packed = head.pack();
+        let mut buffers = ActivationBuffers::default();
+        single_thread(|| {
+            b.iter(|| {
+                batch.iter().fold(0.0f32, |sum, x| {
+                    sum + packed.forward_into(black_box(x), &Sigmoid::Exact, &mut buffers)[0]
+                })
+            })
+        });
+    });
+    group.bench_function(BenchmarkId::new("forward_400x64x32", "before"), |b| {
+        single_thread(|| {
+            b.iter(|| {
+                batch.iter().fold(0.0f32, |sum, x| {
+                    sum + head.forward(black_box(x), &Sigmoid::Exact)[0]
+                })
+            })
         });
     });
     group.finish();
@@ -237,6 +264,48 @@ fn bench_fa_window(c: &mut Criterion) {
     group.finish();
 }
 
+/// Verify alignment over the canonical 640-request trace's probes (48×48,
+/// magnifications 1.44–3.30, so every probe is blurred): the Gaussian
+/// taps, blur and warp in one reused scratch vs blur into a new image and
+/// warp into another.
+fn bench_verify_align(c: &mut Criterion) {
+    let load = canonical_load(false);
+    let config = ServiceConfig::experiment_default();
+    let (service, identities) = build_service(load.users, canonical_plan(), config, 2017);
+    let pool = ProbePool::render(&identities, load.probe_variants, load.nuisance, 2017);
+    let probes: Vec<Probe> = request_trace(&load, &pool)
+        .into_iter()
+        .map(|(request, _)| request.probe)
+        .collect();
+    assert_eq!(probes.len(), 640, "the canonical trace");
+    let side = service.head().side();
+    let mut group = c.benchmark_group("verify");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("align_640", "after"), |b| {
+        let mut scratch = AlignScratch::default();
+        single_thread(|| {
+            b.iter(|| {
+                probes.iter().fold(0.0f32, |sum, p| {
+                    let window =
+                        align_face_into(black_box(&p.image), &p.landmarks, side, &mut scratch);
+                    sum + window.map_or(0.0, |w| w[0])
+                })
+            })
+        });
+    });
+    group.bench_function(BenchmarkId::new("align_640", "before"), |b| {
+        single_thread(|| {
+            b.iter(|| {
+                probes.iter().fold(0.0f32, |sum, p| {
+                    let window = align_face_reference(black_box(&p.image), &p.landmarks, side);
+                    sum + window.map_or(0.0, |w| w.get(0, 0))
+                })
+            })
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_convolve,
@@ -245,6 +314,7 @@ criterion_group!(
     bench_viola,
     bench_nn,
     bench_block_match,
-    bench_fa_window
+    bench_fa_window,
+    bench_verify_align
 );
 criterion_main!(kernels);

@@ -1,8 +1,8 @@
-//! Kernel determinism smoke: runs each of the seven reworked hot kernels
+//! Kernel determinism smoke: runs each of the eight reworked hot kernels
 //! (separable convolution, integral image, bilateral grid pipeline,
 //! Viola-Jones scan, batched MLP forward, stereo block matching, FA window
-//! scoring) on deterministic workloads and prints an order-sensitive
-//! FNV-1a digest of every output.
+//! scoring, verify window alignment and embedding) on deterministic
+//! workloads and prints an order-sensitive FNV-1a digest of every output.
 //!
 //! The CI `kernels` gate runs this experiment twice at `INCAM_THREADS=1`
 //! and once at `INCAM_THREADS=4` and byte-compares the transcripts —
@@ -12,6 +12,11 @@
 //! so a fast path that drifted from its oracle fails the gate before any
 //! downstream experiment moves.
 
+use incam_auth::align::{
+    align_face_into, align_face_reference, canonical_eyes, AlignScratch, EyeLandmarks,
+};
+use incam_auth::embed::{EmbedScratch, EmbeddingHead};
+use incam_auth::space::WINDOW_SIDE;
 use incam_bilateral::grid::{BilateralGrid, GridParams};
 use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::convolve::{
@@ -224,6 +229,51 @@ pub fn run(seed: u64, quick: bool) -> String {
         }
     }
     report("fa-window", f.finish(), fa_ok);
+
+    // 8. verify window: eye pairs on a fixed grid of magnifications (at
+    //    or below 1, where no blur runs, and 1.2-3.5) and small rotations
+    //    over two pattern probes, each aligned and then embedded by a
+    //    seeded head in one reused scratch per stage, against the
+    //    allocating blur-then-warp and the reference embed
+    let head = EmbeddingHead::new(WINDOW_SIDE, seed);
+    let canonical = canonical_eyes(WINDOW_SIDE).eye_distance();
+    let mut align = AlignScratch::default();
+    let mut embed = EmbedScratch::default();
+    let mut verify_ok = true;
+    let mut f = Digest::new();
+    for (pw, ph) in [(48, 48), (40, 56)] {
+        let probe = test_image(pw, ph, seed);
+        let (cx, cy) = (pw as f32 * 0.5, ph as f32 * 0.4);
+        for scale in [0.6f32, 1.0, 1.2, 1.6, 2.0, 2.35, 2.8, 3.5] {
+            for angle in [-0.15f32, 0.0, 0.15] {
+                let half = 0.5 * scale * canonical;
+                let (dx, dy) = (angle.cos() * half, angle.sin() * half);
+                let landmarks = EyeLandmarks {
+                    left: (cx - dx, cy - dy),
+                    right: (cx + dx, cy + dy),
+                };
+                let reference = align_face_reference(&probe, &landmarks, WINDOW_SIDE);
+                match (
+                    align_face_into(&probe, &landmarks, WINDOW_SIDE, &mut align),
+                    reference,
+                ) {
+                    (Ok(window), Ok(reference)) => {
+                        let embedding = head.embed_into(window, &mut embed);
+                        verify_ok &= window == reference.pixels()
+                            && embedding == head.embed_reference(&reference);
+                        for &v in window {
+                            f.write_f32(v);
+                        }
+                        for &v in embedding.iter().flat_map(|e| e.components()) {
+                            f.write_f32(v);
+                        }
+                    }
+                    (window, reference) => verify_ok &= window.err() == reference.err(),
+                }
+            }
+        }
+    }
+    report("verify-window", f.finish(), verify_ok);
 
     out
 }

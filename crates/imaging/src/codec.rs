@@ -137,9 +137,15 @@ pub fn decompress_lossless(bytes: &[u8]) -> Result<Image<u8>, DecodeError> {
     if w == 0 || h == 0 {
         return Err(DecodeError::BadHeader);
     }
-    let mut pixels = Vec::with_capacity(w * h);
+    let len = w.checked_mul(h).ok_or(DecodeError::BadHeader)?;
+    // an escape triple carries a run of at most 255, so no byte yields
+    // more than 85 pixels: bound the header by the bytes before reserving
+    if len > (bytes.len() - 9).saturating_mul(85) {
+        return Err(DecodeError::Truncated);
+    }
+    let mut pixels = Vec::with_capacity(len);
     let mut i = 9;
-    while pixels.len() < w * h {
+    while pixels.len() < len {
         let byte = *bytes.get(i).ok_or(DecodeError::Truncated)?;
         i += 1;
         if byte == 0x80 {
@@ -150,7 +156,7 @@ pub fn decompress_lossless(bytes: &[u8]) -> Result<Image<u8>, DecodeError> {
                 return Err(DecodeError::Corrupt);
             }
             for _ in 0..run {
-                if pixels.len() >= w * h {
+                if pixels.len() >= len {
                     return Err(DecodeError::Corrupt);
                 }
                 push_predicted(&mut pixels, w, delta);
@@ -453,6 +459,26 @@ mod tests {
             decompress_lossless(&trailing),
             Err(DecodeError::TrailingData)
         );
+    }
+
+    #[test]
+    fn lossless_bounds_the_header_by_the_stream() {
+        // 9-byte streams claiming 2^62 and (2^32 − 1)^2 pixels used to
+        // abort the process reserving them; on 32-bit targets the first
+        // product overflows instead
+        for side in [1u32 << 31, u32::MAX] {
+            let mut stream = vec![b'L'];
+            stream.extend(side.to_le_bytes());
+            stream.extend(side.to_le_bytes());
+            assert!(matches!(
+                decompress_lossless(&stream),
+                Err(DecodeError::Truncated | DecodeError::BadHeader)
+            ));
+        }
+        // long constant runs, the densest coding, still decode
+        let flat = Image::new(255 * 4, 3, 200u8);
+        let back = decompress_lossless(&compress_lossless(&flat)).expect("valid");
+        assert_eq!(back.pixels(), flat.pixels());
     }
 
     #[test]

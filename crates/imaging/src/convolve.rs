@@ -7,53 +7,41 @@
 //!
 //! ## Kernel microarchitecture
 //!
-//! Each row is split into a replicate-border **prologue/epilogue** (taps
-//! clamp into the image) and an **interior fast path** that runs over raw
-//! contiguous row slices with no clamping and no per-pixel bounds checks,
-//! so the inner loops autovectorize. The per-pixel floating-point
-//! accumulation order is exactly that of the clamped per-pixel
-//! formulation (kept as [`convolve_h_reference`]/[`convolve_v_reference`]
-//! for tests and benches), so outputs are byte-identical to it.
+//! The row pass is **tap-major**: it copies the source row between `r`
+//! replicas of each edge pixel into a padded row, then, starting from a
+//! zeroed output row, adds `k[t] · src[x + t − r]` into every `dst[x]`
+//! one tap at a time — one contiguous slice sweep per tap, with no
+//! clamping in the loop — so it vectorizes across `x`, as the column
+//! pass (a per-tap sweep over row slices) already does. Per pixel both
+//! passes still evaluate `+0.0 + k0·s0 + k1·s1 + …` in tap order — the
+//! op sequence of the clamped per-pixel formulation (kept as
+//! [`convolve_h_reference`]/[`convolve_v_reference`] for tests and
+//! benches) — so outputs are byte-identical to it.
 //! [`convolve_separable`] additionally fuses the H and V passes through a
 //! rolling ring of H-filtered rows instead of materializing a full
-//! intermediate image per pass.
+//! intermediate image per pass; [`convolve_separable_into`] runs the same
+//! fused routine over the whole image in caller-owned buffers.
 
 use crate::image::GrayImage;
 
-/// Convolves one source row into `dst` with replicate borders: clamped
-/// prologue/epilogue around an interior fast path over contiguous
-/// `kernel.len()`-wide windows. Bit-equal to the clamped per-pixel
-/// formulation (same taps, same accumulation order).
-fn convolve_row(src: &[f32], kernel: &[f32], dst: &mut [f32]) {
-    let w = src.len();
-    let k = kernel.len();
-    let r = k / 2;
-    let clamped = |x: usize| {
-        let mut acc = 0.0f32;
-        for (i, &kv) in kernel.iter().enumerate() {
-            let sx = (x + i) as isize - r as isize;
-            acc += kv * src[sx.clamp(0, w as isize - 1) as usize];
+/// Convolves one source row into `dst` with replicate borders, tap by
+/// tap. `pad` (`w + k − 1` long) receives the row between `r` copies of
+/// its first and `r` of its last pixel, so `pad[x + t]` is
+/// `src[clamp(x + t − r)]` and each tap is one contiguous sweep
+/// `dst[x] += k[t] · pad[x + t]` from a zeroed `dst`. Per pixel this is
+/// `+0.0 + k0·s0 + k1·s1 + …` in tap order, the op sequence of the
+/// clamped per-pixel formulation, at any width (narrower than the kernel
+/// too).
+fn convolve_row(src: &[f32], kernel: &[f32], pad: &mut [f32], dst: &mut [f32]) {
+    let (w, r) = (src.len(), kernel.len() / 2);
+    pad[..r].fill(src[0]);
+    pad[r..r + w].copy_from_slice(src);
+    pad[r + w..].fill(src[w - 1]);
+    dst.fill(0.0);
+    for (t, &kv) in kernel.iter().enumerate() {
+        for (out, &sv) in dst.iter_mut().zip(&pad[t..t + w]) {
+            *out += kv * sv;
         }
-        acc
-    };
-    if w < k {
-        for (x, out) in dst.iter_mut().enumerate() {
-            *out = clamped(x);
-        }
-        return;
-    }
-    for (x, out) in dst[..r].iter_mut().enumerate() {
-        *out = clamped(x);
-    }
-    for (out, win) in dst[r..w - r].iter_mut().zip(src.windows(k)) {
-        let mut acc = 0.0f32;
-        for (&kv, &sv) in kernel.iter().zip(win) {
-            acc += kv * sv;
-        }
-        *out = acc;
-    }
-    for (x, out) in dst[w - r..].iter_mut().enumerate() {
-        *out = clamped(w - r + x);
     }
 }
 
@@ -80,8 +68,14 @@ fn convolve_col_into(img: &GrayImage, kernel: &[f32], y: usize, dst: &mut [f32])
 pub fn convolve_h(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let (w, h) = img.dims();
-    let data = incam_parallel::par_map_rows(h, w, |y, dst| convolve_row(img.row(y), kernel, dst));
-    GrayImage::from_vec(w, h, data)
+    let mut out = vec![0.0f32; w * h];
+    incam_parallel::par_bands_mut(&mut out, h, |rows, band| {
+        let mut pad = vec![0.0; w + kernel.len() - 1];
+        for (y, dst) in rows.zip(band.chunks_mut(w)) {
+            convolve_row(img.row(y), kernel, &mut pad, dst);
+        }
+    });
+    GrayImage::from_vec(w, h, out)
 }
 
 /// Convolves `img` with a vertical 1-D `kernel` (replicate border).
@@ -108,44 +102,85 @@ pub fn convolve_v(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 pub fn convolve_separable(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let (w, h) = img.dims();
-    let k = kernel.len();
-    let r = k / 2;
     let mut out = vec![0.0f32; w * h];
     incam_parallel::par_bands_mut(&mut out, h, |rows, band| {
-        // Ring slot `j % k` holds the H-convolved row `j`; the window of
-        // live rows for output row y is [y-r, y+r] clamped, which spans
-        // at most k real rows.
-        let mut ring = vec![0.0f32; k * w];
-        let lo = rows.start.saturating_sub(r);
-        let mut top = (rows.start + r).min(h - 1);
-        for j in lo..=top {
-            convolve_row(img.row(j), kernel, &mut ring[(j % k) * w..(j % k + 1) * w]);
-        }
-        for (i, dst) in band.chunks_mut(w).enumerate() {
-            let y = rows.start + i;
-            let need = (y + r).min(h - 1);
-            while top < need {
-                top += 1;
-                convolve_row(
-                    img.row(top),
-                    kernel,
-                    &mut ring[(top % k) * w..(top % k + 1) * w],
-                );
-            }
-            for (t, &kv) in kernel.iter().enumerate() {
-                let sy = (y + t) as isize - r as isize;
-                let sy = sy.clamp(0, h as isize - 1) as usize % k;
-                for (out, &sv) in dst.iter_mut().zip(&ring[sy * w..(sy + 1) * w]) {
-                    *out += kv * sv;
-                }
-            }
-        }
+        separable_band(img, kernel, rows, band, &mut Vec::new());
     });
     GrayImage::from_vec(w, h, out)
 }
 
+/// Reusable buffers for [`convolve_separable_into`]: the ring of
+/// H-filtered rows (with the row pass's padded row) and the output
+/// image. One scratch serves images and kernels of any size; it grows to
+/// the largest it has seen.
+#[derive(Debug, Clone, Default)]
+pub struct SeparableScratch {
+    ring: Vec<f32>,
+    out: Vec<f32>,
+}
+
+/// [`convolve_separable`] on the calling thread into caller-owned
+/// buffers, returning the row-major `width × height` result: the same
+/// fused ring routine run as one band over the whole image, so the output
+/// is bit-equal and, once `scratch` has grown, nothing is allocated.
+///
+/// # Panics
+///
+/// Panics if the kernel is empty or of even length.
+pub fn convolve_separable_into<'s>(
+    img: &GrayImage,
+    kernel: &[f32],
+    scratch: &'s mut SeparableScratch,
+) -> &'s [f32] {
+    check_kernel(kernel);
+    let SeparableScratch { ring, out } = scratch;
+    out.clear();
+    out.resize(img.len(), 0.0);
+    separable_band(img, kernel, 0..img.height(), out, ring);
+    out
+}
+
+/// The fused separable pass over output rows `rows` into `band` (zeroed,
+/// `rows.len() × width`). `ring` holds `k` ring slots and the row pass's
+/// padded row. Slot `j % k` holds the H-convolved row `j`; the window of
+/// live rows for output row `y` is `[y−r, y+r]` clamped, which spans at
+/// most `k` real rows, so every slot is written before it is read.
+fn separable_band(
+    img: &GrayImage,
+    kernel: &[f32],
+    rows: std::ops::Range<usize>,
+    band: &mut [f32],
+    ring: &mut Vec<f32>,
+) {
+    let (w, h) = img.dims();
+    let k = kernel.len();
+    let r = k / 2;
+    ring.resize(k * w + w + k - 1, 0.0);
+    let (slots, pad) = ring.split_at_mut(k * w);
+    let lo = rows.start.saturating_sub(r);
+    let mut top = (rows.start + r).min(h - 1);
+    for j in lo..=top {
+        convolve_row(img.row(j), kernel, pad, &mut slots[(j % k) * w..][..w]);
+    }
+    for (i, dst) in band.chunks_mut(w).enumerate() {
+        let y = rows.start + i;
+        let need = (y + r).min(h - 1);
+        while top < need {
+            top += 1;
+            convolve_row(img.row(top), kernel, pad, &mut slots[(top % k) * w..][..w]);
+        }
+        for (t, &kv) in kernel.iter().enumerate() {
+            let sy = (y + t) as isize - r as isize;
+            let sy = sy.clamp(0, h as isize - 1) as usize % k;
+            for (out, &sv) in dst.iter_mut().zip(&slots[sy * w..(sy + 1) * w]) {
+                *out += kv * sv;
+            }
+        }
+    }
+}
+
 /// The original clamped per-pixel horizontal convolution, kept as the
-/// correctness oracle for the interior-fast-path rework (proptests pin
+/// correctness oracle for the tap-major row pass (proptests pin
 /// [`convolve_h`] bit-equal to it) and as the "before" side of the
 /// kernel microbenchmarks.
 pub fn convolve_h_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
@@ -212,16 +247,26 @@ pub fn box_kernel(len: usize) -> Vec<f32> {
 ///
 /// Panics if `sigma` is not positive.
 pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
+    let mut taps = Vec::new();
+    gaussian_kernel_into(sigma, &mut taps);
+    taps
+}
+
+/// [`gaussian_kernel`] written into a caller-owned buffer (replacing its
+/// contents), so a per-call blur allocates nothing once `taps` has grown.
+///
+/// # Panics
+///
+/// Panics if `sigma` is not positive.
+pub fn gaussian_kernel_into(sigma: f32, taps: &mut Vec<f32>) {
     assert!(sigma > 0.0, "sigma must be positive");
     let r = (3.0 * sigma).ceil() as isize;
-    let mut k: Vec<f32> = (-r..=r)
-        .map(|i| (-0.5 * (i as f32 / sigma).powi(2)).exp())
-        .collect();
-    let sum: f32 = k.iter().sum();
-    for v in &mut k {
+    taps.clear();
+    taps.extend((-r..=r).map(|i| (-0.5 * (i as f32 / sigma).powi(2)).exp()));
+    let sum: f32 = taps.iter().sum();
+    for v in taps.iter_mut() {
         *v /= sum;
     }
-    k
 }
 
 /// Gaussian blur with standard deviation `sigma` (separable).

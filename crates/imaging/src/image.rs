@@ -111,8 +111,9 @@ impl<T: Copy> Image<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != width * height`.
+    /// Panics if either dimension is zero or `data.len() != width * height`.
     pub fn from_vec(width: usize, height: usize, data: Vec<T>) -> Self {
+        assert!(width > 0 && height > 0, "image dimensions must be nonzero");
         assert_eq!(
             data.len(),
             width * height,
@@ -414,5 +415,11 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_dimension_rejected() {
         let _ = Image::new(0, 5, 0u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "image dimensions must be nonzero")]
+    fn from_vec_rejects_zero_dimension() {
+        let _ = Image::<f32>::from_vec(0, 48, Vec::new());
     }
 }

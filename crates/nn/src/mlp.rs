@@ -188,11 +188,10 @@ impl Mlp {
     ///
     /// Fast path: activations live in one flat row-major `batch × width`
     /// matrix advanced layer by layer (no per-example, per-layer `Vec`s),
-    /// and each layer's weights are packed once into 4-neuron tiles so
-    /// the inner matmul loop keeps four independent accumulators over a
-    /// contiguous weight stream. Per neuron the accumulation is still
-    /// `bias, then inputs in ascending order`, so outputs are bit-equal
-    /// to [`Mlp::forward_batch_reference`].
+    /// and the network is packed once per call ([`Mlp::pack`]) so every
+    /// row runs the [`PackedMlp`] layer kernel. Per neuron the
+    /// accumulation is still `bias, then inputs in ascending order`, so
+    /// outputs are bit-equal to [`Mlp::forward_batch_reference`].
     ///
     /// # Panics
     ///
@@ -211,51 +210,23 @@ impl Mlp {
         for (row, input) in act.chunks_mut(width).zip(inputs) {
             row.copy_from_slice(input);
         }
-        let mut packed: Vec<f32> = Vec::new();
-        for layer in &self.layers {
-            let outs = layer.outputs();
-            let tiles = outs / 4;
-            // Tile t interleaves the weight rows of neurons 4t..4t+4 as
-            // `packed[i*4 + lane]`, so the inner loop reads one
-            // contiguous stream while updating four accumulators.
-            packed.clear();
-            packed.resize(tiles * width * 4, 0.0);
-            for (t, tile) in packed.chunks_mut(width * 4).enumerate() {
-                for lane in 0..4 {
-                    let row = &layer.weights()[(t * 4 + lane) * width..][..width];
-                    for (i, &w) in row.iter().enumerate() {
-                        tile[i * 4 + lane] = w;
-                    }
-                }
-            }
+        for layer in &self.pack().layers {
             let src = act;
-            act = incam_parallel::par_map_rows(n, outs, |e, orow| {
-                let xrow = &src[e * width..(e + 1) * width];
-                for (t, tile) in packed.chunks(width * 4).enumerate() {
-                    let b = &layer.biases()[t * 4..t * 4 + 4];
-                    let mut acc = [b[0], b[1], b[2], b[3]];
-                    for (ws, &x) in tile.chunks_exact(4).zip(xrow) {
-                        acc[0] += ws[0] * x;
-                        acc[1] += ws[1] * x;
-                        acc[2] += ws[2] * x;
-                        acc[3] += ws[3] * x;
-                    }
-                    for (out, a) in orow[t * 4..t * 4 + 4].iter_mut().zip(acc) {
-                        *out = sigmoid.eval(a);
-                    }
-                }
-                for (o, out) in orow.iter_mut().enumerate().skip(tiles * 4) {
-                    let row = &layer.weights()[o * width..(o + 1) * width];
-                    let mut acc = layer.biases()[o];
-                    for (&w, &x) in row.iter().zip(xrow) {
-                        acc += w * x;
-                    }
-                    *out = sigmoid.eval(acc);
-                }
+            act = incam_parallel::par_map_rows(n, layer.outputs, |e, orow| {
+                layer.forward_row(&src[e * width..(e + 1) * width], sigmoid, orow);
             });
-            width = outs;
+            width = layer.outputs;
         }
         act.chunks(width).map(<[f32]>::to_vec).collect()
+    }
+
+    /// Packs every layer's weights into 4-neuron tiles once, for repeated
+    /// forward passes through [`PackedMlp::forward_into`].
+    pub fn pack(&self) -> PackedMlp {
+        PackedMlp {
+            inputs: self.topology.inputs(),
+            layers: self.layers.iter().map(PackedLayer::new).collect(),
+        }
     }
 
     /// The original batch forward (independent [`Mlp::forward`] calls on
@@ -289,6 +260,157 @@ impl Mlp {
             .flat_map(|l| l.weights().iter().chain(l.biases()))
             .fold(0.0f32, |m, &w| m.max(w.abs()))
     }
+}
+
+/// An [`Mlp`] with each layer's weights packed once into 4-neuron tiles
+/// ([`Mlp::pack`]), for forward passes that reuse the packing and their
+/// activation buffers.
+///
+/// The layer kernel advances four tiles (16 neurons, 16 independent
+/// accumulators) per sweep of the input, then any leftover tile, then any
+/// leftover neurons from their unpacked rows. Each neuron still sums its
+/// bias, then its inputs in ascending order, so every output equals
+/// [`Mlp::forward`] bit for bit.
+#[derive(Debug, Clone)]
+pub struct PackedMlp {
+    inputs: usize,
+    layers: Vec<PackedLayer>,
+}
+
+/// One layer of a [`PackedMlp`].
+#[derive(Debug, Clone)]
+struct PackedLayer {
+    inputs: usize,
+    outputs: usize,
+    /// `outputs / 4` tiles of `inputs × 4` weights, tile `t` holding
+    /// neuron `4t + lane`'s weight for input `i` at `i * 4 + lane`, then
+    /// the `outputs % 4` leftover rows, row-major.
+    weights: Vec<f32>,
+    biases: Vec<f32>,
+}
+
+impl PackedLayer {
+    fn new(layer: &Layer) -> Self {
+        let (width, outs) = (layer.inputs, layer.outputs);
+        let tiled = outs / 4 * 4;
+        let mut weights = vec![0.0; tiled * width];
+        for (t, tile) in weights.chunks_mut(width * 4).enumerate() {
+            for lane in 0..4 {
+                let row = &layer.weights[(t * 4 + lane) * width..][..width];
+                for (i, &w) in row.iter().enumerate() {
+                    tile[i * 4 + lane] = w;
+                }
+            }
+        }
+        weights.extend_from_slice(&layer.weights[tiled * width..]);
+        Self {
+            inputs: width,
+            outputs: outs,
+            weights,
+            biases: layer.biases.clone(),
+        }
+    }
+
+    /// One example through the layer: `out[o] = σ(bias_o + Σ w_oi · x_i)`,
+    /// summed in ascending `i`.
+    fn forward_row(&self, x: &[f32], sigmoid: &Sigmoid, out: &mut [f32]) {
+        let width = self.inputs;
+        let tiled = self.outputs / 4 * 4;
+        let (tiles, rest) = self.weights.split_at(tiled * width);
+        let (outs, rest_outs) = out.split_at_mut(tiled);
+        let mut groups = tiles.chunks_exact(16 * width);
+        let mut done = 0;
+        for group in &mut groups {
+            let (t01, t23) = group.split_at(8 * width);
+            let ((t0, t1), (t2, t3)) = (t01.split_at(4 * width), t23.split_at(4 * width));
+            let mut acc = [[0.0f32; 4]; 4];
+            for (a, b) in acc
+                .iter_mut()
+                .zip(self.biases[done..done + 16].chunks_exact(4))
+            {
+                a.copy_from_slice(b);
+            }
+            for ((((&xi, w0), w1), w2), w3) in x
+                .iter()
+                .zip(t0.chunks_exact(4))
+                .zip(t1.chunks_exact(4))
+                .zip(t2.chunks_exact(4))
+                .zip(t3.chunks_exact(4))
+            {
+                for (a, w) in acc.iter_mut().zip([w0, w1, w2, w3]) {
+                    for lane in 0..4 {
+                        a[lane] += w[lane] * xi;
+                    }
+                }
+            }
+            for (o, &a) in outs[done..done + 16].iter_mut().zip(acc.as_flattened()) {
+                *o = sigmoid.eval(a);
+            }
+            done += 16;
+        }
+        for tile in groups.remainder().chunks_exact(4 * width) {
+            let mut acc = [0.0f32; 4];
+            acc.copy_from_slice(&self.biases[done..done + 4]);
+            for (&xi, ws) in x.iter().zip(tile.chunks_exact(4)) {
+                for lane in 0..4 {
+                    acc[lane] += ws[lane] * xi;
+                }
+            }
+            for (o, a) in outs[done..done + 4].iter_mut().zip(acc) {
+                *o = sigmoid.eval(a);
+            }
+            done += 4;
+        }
+        for ((o, row), &bias) in rest_outs
+            .iter_mut()
+            .zip(rest.chunks_exact(width))
+            .zip(&self.biases[tiled..])
+        {
+            let mut acc = bias;
+            for (&w, &xi) in row.iter().zip(x) {
+                acc += w * xi;
+            }
+            *o = sigmoid.eval(acc);
+        }
+    }
+}
+
+impl PackedMlp {
+    /// Forward pass into caller-owned buffers, returning the last layer's
+    /// activations: bit-identical to [`Mlp::forward`] on the network this
+    /// was packed from, and allocation-free once `buffers` has grown to
+    /// the network's widest layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from the topology's input width.
+    pub fn forward_into<'b>(
+        &self,
+        input: &[f32],
+        sigmoid: &Sigmoid,
+        buffers: &'b mut ActivationBuffers,
+    ) -> &'b [f32] {
+        assert_eq!(input.len(), self.inputs, "input width mismatch");
+        let ActivationBuffers { activation, next } = buffers;
+        activation.clear();
+        activation.extend_from_slice(input);
+        for layer in &self.layers {
+            next.clear();
+            next.resize(layer.outputs, 0.0);
+            layer.forward_row(activation, sigmoid, next);
+            std::mem::swap(activation, next);
+        }
+        activation
+    }
+}
+
+/// Reusable activation buffers for [`PackedMlp::forward_into`]. One set
+/// serves networks of any shape; it grows to the widest layer it has
+/// seen.
+#[derive(Debug, Clone, Default)]
+pub struct ActivationBuffers {
+    activation: Vec<f32>,
+    next: Vec<f32>,
 }
 
 #[cfg(test)]

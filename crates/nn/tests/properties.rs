@@ -1,7 +1,7 @@
 //! Property-based tests of the NN substrate.
 
 use incam_nn::eval::Confusion;
-use incam_nn::mlp::Mlp;
+use incam_nn::mlp::{ActivationBuffers, Mlp};
 use incam_nn::quant::{ForwardScratch, QFormat, QuantizedMlp};
 use incam_nn::sigmoid::{sigmoid_exact, LutSigmoid, Sigmoid};
 use incam_nn::topology::Topology;
@@ -179,6 +179,35 @@ proptest! {
         }
     }
 
+    /// The packed forward into reused buffers is bit-exact against
+    /// `Mlp::forward`: one to three layers of widths 1–70 (so full
+    /// 16-neuron groups, leftover tiles and leftover neurons all occur),
+    /// both sigmoids, inputs in [−3, 3], and buffers first used by a
+    /// network of another shape.
+    #[test]
+    fn packed_forward_bitwise_equal_forward(
+        layers in prop::collection::vec(1usize..=70, 2..5),
+        exact in any::<bool>(),
+        seed in 0u64..5000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Mlp::random(Topology::new(layers.clone()), &mut rng);
+        let packed = net.pack();
+        let sigmoid = if exact { Sigmoid::Exact } else { Sigmoid::lut256() };
+        let mut buffers = ActivationBuffers::default();
+        let other = Mlp::random(Topology::new(vec![37, 5, 19]), &mut rng).pack();
+        let _ = other.forward_into(&[0.7; 37], &sigmoid, &mut buffers);
+        for _ in 0..3 {
+            let input: Vec<f32> = (0..layers[0]).map(|_| rng.gen_range(-3.0..3.0f32)).collect();
+            let a = packed.forward_into(&input, &sigmoid, &mut buffers).to_vec();
+            let b = net.forward(&input, &sigmoid);
+            prop_assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "layers {:?}", layers);
+            }
+        }
+    }
+
     /// Confusion-matrix identities: accuracy + error == 1; counts add up;
     /// F1 bounded by min/max of precision and recall... within [0,1].
     #[test]
@@ -198,12 +227,12 @@ proptest! {
     }
 
     /// The flat tiled batch forward is bit-exact against independent
-    /// per-example forwards, across random topologies (exercising both
-    /// full 4-neuron tiles and remainders), batch sizes, activations, and
-    /// both pool dispatch paths.
+    /// per-example forwards, across random topologies (exercising full
+    /// 16-neuron groups, leftover 4-neuron tiles and leftover neurons),
+    /// batch sizes, activations, and both pool dispatch paths.
     #[test]
     fn tiled_forward_batch_bitwise_equal_reference(
-        layers in prop::collection::vec(1usize..13, 2..5),
+        layers in prop::collection::vec(1usize..70, 2..5),
         batch in 1usize..17,
         exact in any::<bool>(),
         seed in 0u64..5000,
