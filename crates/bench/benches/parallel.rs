@@ -1,20 +1,19 @@
-//! Thread-scaling benches for the `incam-parallel` substrate: every hot
-//! kernel the PR ported, swept at 1/2/4/8 worker threads via the
-//! programmatic override. Because all primitives are thread-count
-//! deterministic, every sweep point computes the *same* bytes — only the
-//! wall clock may change.
+//! Thread-scaling benches for the `incam-parallel` substrate: every
+//! kernel that still dispatches to the pool, swept at 1/2/4/8 worker
+//! threads via the programmatic override. Because all primitives are
+//! thread-count deterministic, every sweep point computes the *same*
+//! bytes — only the wall clock may change. Kernels that run as one
+//! sequential pass (separable convolution, integral image, grid blur,
+//! block matching) are not swept: the pool never sees them.
 //!
 //! Results land in `BENCH_parallel.json` (see `INCAM_BENCH_DIR`). On a
-//! single-core host the sweep is still meaningful as a regression guard:
-//! it bounds the overhead of the pool at thread counts above the
-//! available parallelism.
+//! host with fewer cores than the larger pool sizes the sweep is still
+//! meaningful as a regression guard: it bounds the overhead of the pool
+//! at thread counts above the available parallelism.
 
 use incam_bilateral::grid::{BilateralGrid, GridParams};
-use incam_bilateral::stereo::{block_match, MatchParams};
-use incam_imaging::convolve::gaussian_blur;
 use incam_imaging::faces::{render_face, render_non_face, Identity, Nuisance};
 use incam_imaging::image::GrayImage;
-use incam_imaging::integral::IntegralImage;
 use incam_imaging::quality::{ms_ssim, MsSsimConfig};
 use incam_imaging::scenes::stereo_scene;
 use incam_nn::mlp::Mlp;
@@ -40,21 +39,12 @@ fn with_threads(threads: usize, f: impl FnOnce()) {
     incam_parallel::set_thread_override(None);
 }
 
-/// Separable convolution and integral-image row pass (imaging crate).
+/// MS-SSIM: sequential separable blurs around row-parallel products
+/// (imaging crate).
 fn bench_imaging(c: &mut Criterion) {
     let img = GrayImage::from_fn(512, 384, |x, y| ((x * 7 + y * 13) % 97) as f32 / 97.0);
     let noisy = GrayImage::from_fn(512, 384, |x, y| ((x * 11 + y * 5) % 89) as f32 / 89.0);
     let mut group = c.benchmark_group("scaling_imaging");
-    for t in THREADS {
-        group.bench_with_input(BenchmarkId::new("gaussian_blur_512x384", t), &t, |b, &t| {
-            with_threads(t, || b.iter(|| gaussian_blur(black_box(&img), 2.0)));
-        });
-    }
-    for t in THREADS {
-        group.bench_with_input(BenchmarkId::new("integral_512x384", t), &t, |b, &t| {
-            with_threads(t, || b.iter(|| IntegralImage::new(black_box(&img))));
-        });
-    }
     group.sample_size(10);
     for t in THREADS {
         group.bench_with_input(BenchmarkId::new("ms_ssim_512x384", t), &t, |b, &t| {
@@ -66,26 +56,14 @@ fn bench_imaging(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bilateral-grid splat/blur/slice and block matching (bilateral crate).
+/// Bilateral-grid splat + blur + slice: the slice gathers rows on the
+/// pool (bilateral crate).
 fn bench_bilateral(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(21);
     let scene = stereo_scene(256, 192, 8, 4, &mut rng);
     let params = GridParams::new(4.0, 0.1);
-    let mut splatted = BilateralGrid::new(256, 192, params);
-    splatted.splat(&scene.right, &scene.disparity, None);
 
     let mut group = c.benchmark_group("scaling_bilateral");
-    for t in THREADS {
-        group.bench_with_input(BenchmarkId::new("grid_blur_x2", t), &t, |b, &t| {
-            with_threads(t, || {
-                b.iter(|| {
-                    let mut grid = splatted.clone();
-                    grid.blur(2);
-                    grid
-                })
-            });
-        });
-    }
     for t in THREADS {
         group.bench_with_input(BenchmarkId::new("splat_blur_slice_256", t), &t, |b, &t| {
             with_threads(t, || {
@@ -94,23 +72,6 @@ fn bench_bilateral(c: &mut Criterion) {
                     grid.splat(black_box(&scene.right), black_box(&scene.disparity), None);
                     grid.blur(2);
                     grid.slice(black_box(&scene.right))
-                })
-            });
-        });
-    }
-    group.sample_size(10);
-    for t in THREADS {
-        group.bench_with_input(BenchmarkId::new("block_match_256", t), &t, |b, &t| {
-            with_threads(t, || {
-                b.iter(|| {
-                    block_match(
-                        black_box(&scene.left),
-                        black_box(&scene.right),
-                        &MatchParams {
-                            max_disparity: 8,
-                            block_radius: 2,
-                        },
-                    )
                 })
             });
         });

@@ -8,6 +8,11 @@
 //! out at pixel locations. Pixels that are spatial neighbours but differ
 //! strongly in intensity land in different grid cells along the third
 //! axis, so grid-space smoothing never mixes across an image edge.
+//!
+//! The splat (a scatter into shared vertices) and the fused blur (a
+//! rolling ring of slabs) are sequential sweeps; the slice gathers
+//! independent pixel rows on the [`incam_parallel`] pool. Each fast path
+//! is bit-equal to its `*_reference` formulation.
 
 use incam_imaging::image::GrayImage;
 
@@ -111,22 +116,15 @@ impl BilateralGrid {
     }
 
     /// Splats `values` (weighted by `confidence`, or 1) into the grid,
-    /// guided by `guide`'s intensities, with trilinear weights.
-    ///
-    /// Parallel strategy: workers own disjoint bands of intensity slabs
-    /// (the grid's contiguous z-major layout) and every worker scans the
-    /// full pixel stream in the same row-major order, accumulating only
-    /// the taps whose clamped slab falls in its band. Each vertex is
-    /// therefore updated by exactly one worker *in the sequential pixel
-    /// order*, so the result is byte-identical to the single-threaded
-    /// scatter at any thread count (and at any banding).
+    /// guided by `guide`'s intensities, with trilinear weights: one
+    /// sequential scatter in row-major pixel order, so every vertex
+    /// accumulates its taps in that order.
     ///
     /// Fast path: the spatial tap cells and weights depend only on the
     /// pixel column/row, so they are precomputed per coordinate
     /// (`spatial_taps`); the inner loop only derives the intensity taps
-    /// per pixel and tests band membership once per slab rather than per
-    /// tap. Tap order (`dz, dy, dx`), the `(wx·wy)·wz` association, and
-    /// the zero-weight skips match [`BilateralGrid::splat_reference`]
+    /// per pixel. Tap order (`dz, dy, dx`), the `(wx·wy)·wz` association,
+    /// and the zero-weight skips match [`BilateralGrid::splat_reference`]
     /// exactly, so the accumulators are bit-equal to it.
     ///
     /// # Panics
@@ -141,52 +139,42 @@ impl BilateralGrid {
         let params = self.params;
         let xt = spatial_taps(guide.width(), params.sigma_spatial, gw);
         let yt = spatial_taps(guide.height(), params.sigma_spatial, gh);
-        incam_parallel::par_bands_mut2(
-            &mut self.values,
-            &mut self.weights,
-            gz,
-            |band, band_values, band_weights| {
-                let base = band.start * gh * gw;
-                for (y, &(cy0, cy1, wy0, wy1)) in yt.iter().enumerate() {
-                    let grow = guide.row(y);
-                    let vrow = values.row(y);
-                    let crow = confidence.map(|c| c.row(y));
-                    for x in 0..guide.width() {
-                        let v = vrow[x];
-                        let conf = crow.map_or(1.0, |r| r[x]);
-                        if conf <= 0.0 {
-                            continue;
-                        }
-                        let fz = grow[x].clamp(0.0, 1.0) / params.sigma_range;
-                        let z0 = fz.floor() as usize;
-                        let tz = fz - z0 as f32;
-                        let (cx0, cx1, wx0, wx1) = xt[x];
-                        for dz in 0..2usize {
-                            let wz = if dz == 0 { 1.0 - tz } else { tz };
-                            let cz = (z0 + dz).min(gz - 1);
-                            if !band.contains(&cz) {
+        let (grid_values, grid_weights) = (&mut self.values[..], &mut self.weights[..]);
+        for (y, &(cy0, cy1, wy0, wy1)) in yt.iter().enumerate() {
+            let grow = guide.row(y);
+            let vrow = values.row(y);
+            let crow = confidence.map(|c| c.row(y));
+            for x in 0..guide.width() {
+                let v = vrow[x];
+                let conf = crow.map_or(1.0, |r| r[x]);
+                if conf <= 0.0 {
+                    continue;
+                }
+                let fz = grow[x].clamp(0.0, 1.0) / params.sigma_range;
+                let z0 = fz.floor() as usize;
+                let tz = fz - z0 as f32;
+                let (cx0, cx1, wx0, wx1) = xt[x];
+                for dz in 0..2usize {
+                    let wz = if dz == 0 { 1.0 - tz } else { tz };
+                    let cz = (z0 + dz).min(gz - 1);
+                    for (cy, wy) in [(cy0, wy0), (cy1, wy1)] {
+                        let rb = (cz * gh + cy) * gw;
+                        for (cx, wx) in [(cx0, wx0), (cx1, wx1)] {
+                            let w = wx * wy * wz;
+                            if w <= 0.0 {
                                 continue;
                             }
-                            for (cy, wy) in [(cy0, wy0), (cy1, wy1)] {
-                                let rb = (cz * gh + cy) * gw - base;
-                                for (cx, wx) in [(cx0, wx0), (cx1, wx1)] {
-                                    let w = wx * wy * wz;
-                                    if w <= 0.0 {
-                                        continue;
-                                    }
-                                    let tap_w = w * conf;
-                                    if tap_w <= 0.0 {
-                                        continue;
-                                    }
-                                    band_values[rb + cx] += tap_w * v;
-                                    band_weights[rb + cx] += tap_w;
-                                }
+                            let tap_w = w * conf;
+                            if tap_w <= 0.0 {
+                                continue;
                             }
+                            grid_values[rb + cx] += tap_w * v;
+                            grid_weights[rb + cx] += tap_w;
                         }
                     }
                 }
-            },
-        );
+            }
+        }
     }
 
     /// The original per-tap scatter (recomputing coordinates and weights
@@ -206,36 +194,25 @@ impl BilateralGrid {
         if let Some(c) = confidence {
             assert_eq!(guide.dims(), c.dims(), "guide/confidence must match");
         }
-        let (gw, gh, gz) = (self.gw, self.gh, self.gz);
-        let slab = gh * gw;
+        let dims = (self.gw, self.gh, self.gz);
         let params = self.params;
-        incam_parallel::par_bands_mut2(
-            &mut self.values,
-            &mut self.weights,
-            gz,
-            |band, band_values, band_weights| {
-                let base = band.start * slab;
-                for y in 0..guide.height() {
-                    for x in 0..guide.width() {
-                        let v = values.get(x, y);
-                        let w = confidence.map_or(1.0, |c| c.get(x, y));
-                        if w <= 0.0 {
-                            continue;
-                        }
-                        splat_taps(params, (gw, gh, gz), (x, y, guide.get(x, y)), |i, tap_w| {
-                            let tap_w = tap_w * w;
-                            if tap_w <= 0.0 {
-                                return;
-                            }
-                            if (base..base + band_values.len()).contains(&i) {
-                                band_values[i - base] += tap_w * v;
-                                band_weights[i - base] += tap_w;
-                            }
-                        });
-                    }
+        for y in 0..guide.height() {
+            for x in 0..guide.width() {
+                let v = values.get(x, y);
+                let w = confidence.map_or(1.0, |c| c.get(x, y));
+                if w <= 0.0 {
+                    continue;
                 }
-            },
-        );
+                splat_taps(params, dims, (x, y, guide.get(x, y)), |i, tap_w| {
+                    let tap_w = tap_w * w;
+                    if tap_w <= 0.0 {
+                        return;
+                    }
+                    self.values[i] += tap_w * v;
+                    self.weights[i] += tap_w;
+                });
+            }
+        }
     }
 
     /// Applies `iterations` of a separable `[1, 2, 1]/4` blur along each
@@ -243,13 +220,13 @@ impl BilateralGrid {
     /// replicate, which preserves total mass.
     ///
     /// The three axis passes of one iteration are fused into a single
-    /// sweep over the grid (`blur_xyz_into`): workers stream their band
-    /// of intensity slabs keeping a rolling ring of the three xy-blurred
-    /// slabs the z-pass needs, so each iteration materializes the grid
-    /// once per array instead of three times. Every element-wise
-    /// `(a + 2b + c)/4` expression is identical to the per-axis
-    /// formulation (kept as [`BilateralGrid::blur_reference`]), so the
-    /// result is byte-identical to it at any thread count.
+    /// sweep over the grid (`blur_xyz_into`), which streams the intensity
+    /// slabs keeping a rolling ring of the three xy-blurred slabs the
+    /// z-pass needs, so each iteration materializes the grid once per
+    /// array instead of three times. Every element-wise `(a + 2b + c)/4`
+    /// expression is identical to the per-axis formulation (kept as
+    /// [`BilateralGrid::blur_reference`]), so the result is
+    /// byte-identical to it.
     pub fn blur(&mut self, iterations: usize) {
         if iterations == 0 {
             return;
@@ -477,60 +454,47 @@ fn blur_slab_xy(src: &[f32], xtmp: &mut [f32], out: &mut [f32], nx: usize, ny: u
 }
 
 /// One fused x→y→z `[1, 2, 1]/4` blur iteration over the whole grid,
-/// `src` → `dst`. Workers own disjoint bands of intensity slabs and keep a
-/// rolling ring of the three xy-blurred slabs the z-pass of the current
-/// output slab needs (band boundaries recompute at most one halo slab), so
-/// the grid is materialized once instead of once per axis.
+/// `src` → `dst`. One sweep over the intensity slabs keeps a rolling ring
+/// of the three xy-blurred slabs the z-pass of the current output slab
+/// needs, so the grid is materialized once instead of once per axis.
 ///
 /// Because every element-wise `(a + 2b + c)/4` expression — x pass, y
 /// pass, z pass — is identical to the corresponding [`blur_axis_into`]
 /// pass, the result is byte-identical to running the three axis passes
-/// over the full grid, at any thread count and banding.
+/// over the full grid.
 fn blur_xyz_into((nx, ny, nz): (usize, usize, usize), src: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), nx * ny * nz);
     debug_assert_eq!(dst.len(), src.len());
     let slab = nx * ny;
-    incam_parallel::par_bands_mut(dst, nz, |zs, band| {
-        // Ring slot `z % 3` holds the xy-blurred slab `z`; the z-pass for
-        // output slab z reads slabs [z-1, z+1] clamped — at most three
-        // consecutive slabs, so slots never collide.
-        let mut ring = vec![0.0f32; 3 * slab];
-        let mut xtmp = vec![0.0f32; slab];
-        let lo = zs.start.saturating_sub(1);
-        let mut top = (zs.start + 1).min(nz - 1);
-        for j in lo..=top {
+    // Ring slot `z % 3` holds the xy-blurred slab `z`; the z-pass for
+    // output slab z reads slabs [z-1, z+1] clamped — at most three
+    // consecutive slabs, so slots never collide. The sweep stays one
+    // slab ahead of the output.
+    let mut ring = vec![0.0f32; 3 * slab];
+    let mut xtmp = vec![0.0f32; slab];
+    blur_slab_xy(&src[..slab], &mut xtmp, &mut ring[..slab], nx, ny);
+    for (z, oslab) in dst.chunks_mut(slab).enumerate() {
+        let zp = (z + 1).min(nz - 1);
+        if zp > z {
+            let slot = (zp % 3) * slab;
             blur_slab_xy(
-                &src[j * slab..(j + 1) * slab],
+                &src[zp * slab..(zp + 1) * slab],
                 &mut xtmp,
-                &mut ring[(j % 3) * slab..(j % 3 + 1) * slab],
+                &mut ring[slot..slot + slab],
                 nx,
                 ny,
             );
         }
-        for (i, oslab) in band.chunks_mut(slab).enumerate() {
-            let z = zs.start + i;
-            let need = (z + 1).min(nz - 1);
-            while top < need {
-                top += 1;
-                blur_slab_xy(
-                    &src[top * slab..(top + 1) * slab],
-                    &mut xtmp,
-                    &mut ring[(top % 3) * slab..(top % 3 + 1) * slab],
-                    nx,
-                    ny,
-                );
-            }
-            let zm = z.saturating_sub(1) % 3;
-            let zc = z % 3;
-            let zp = (z + 1).min(nz - 1) % 3;
-            let a = &ring[zm * slab..zm * slab + slab];
-            let b = &ring[zc * slab..zc * slab + slab];
-            let c = &ring[zp * slab..zp * slab + slab];
-            for (((o, &av), &bv), &cv) in oslab.iter_mut().zip(a).zip(b).zip(c) {
-                *o = (av + 2.0 * bv + cv) / 4.0;
-            }
+        let zm = z.saturating_sub(1) % 3;
+        let zc = z % 3;
+        let zp = zp % 3;
+        let a = &ring[zm * slab..zm * slab + slab];
+        let b = &ring[zc * slab..zc * slab + slab];
+        let c = &ring[zp * slab..zp * slab + slab];
+        for (((o, &av), &bv), &cv) in oslab.iter_mut().zip(a).zip(b).zip(c) {
+            *o = (av + 2.0 * bv + cv) / 4.0;
         }
-    });
+    }
 }
 
 /// One `[1, 2, 1]/4` blur pass along `axis` (0=x, 1=y, 2=intensity) with

@@ -23,8 +23,9 @@
 //! `(2r+1)²` operands from `+0.0` in the same dy-major, dx-minor order
 //! (a lane-wise f32 add is the same IEEE operation as a scalar one, and
 //! Rust never contracts to FMA), and every column sees `d` ascend under
-//! the same comparisons, so ties resolve the same way. Rows are
-//! independent, so any banding gives the same maps at any thread count.
+//! the same comparisons, so ties resolve the same way. One scratch
+//! buffer per call holds the padded rows, the abs-diff rows and the
+//! per-column cost, best and second-best.
 
 use incam_imaging::image::GrayImage;
 
@@ -93,73 +94,63 @@ pub fn block_match(left: &GrayImage, right: &GrayImage, params: &MatchParams) ->
 
     let mut disparity = GrayImage::zeros(w, h);
     let mut confidence = GrayImage::zeros(w, h);
-    // Rows are independent; each worker owns a disjoint band of output
-    // rows of both maps and one scratch buffer, so the result is
-    // byte-equal to the sequential scan at any thread count.
-    incam_parallel::par_bands_mut2(
-        disparity.pixels_mut(),
-        confidence.pixels_mut(),
-        h,
-        |rows, disp_band, conf_band| {
-            let mut scratch = vec![0.0f32; taps * (2 * wp + wl) + 3 * w];
-            let (rp, rest) = scratch.split_at_mut(taps * wp);
-            let (lp, rest) = rest.split_at_mut(taps * wl);
-            let (ad, rest) = rest.split_at_mut(taps * wp);
-            let (cost, rest) = rest.split_at_mut(w);
-            let (best, second) = rest.split_at_mut(w);
-            for y in rows.clone() {
-                let window_rows = rp.chunks_exact_mut(wp).zip(lp.chunks_exact_mut(wl));
-                for (k, (rrow, lrow)) in window_rows.enumerate() {
-                    let sy = (y + k).saturating_sub(r).min(h - 1);
-                    pad_row(rrow, right.row(sy), r);
-                    pad_row(lrow, left.row(sy), r);
-                }
-                let row = (y - rows.start) * w;
-                let disp = &mut disp_band[row..row + w];
-                best.fill(f32::INFINITY);
-                second.fill(f32::INFINITY);
-                for d in 0..=params.max_disparity {
-                    let window_rows = rp.chunks_exact(wp).zip(lp.chunks_exact(wl));
-                    for (adrow, (rrow, lrow)) in ad.chunks_exact_mut(wp).zip(window_rows) {
-                        for ((a, &rv), &lv) in adrow.iter_mut().zip(rrow).zip(&lrow[d..]) {
-                            *a = (rv - lv).abs();
-                        }
-                    }
-                    let mut tiles = cost.chunks_exact_mut(LANES);
-                    for (x0, c) in (0..).step_by(LANES).zip(&mut tiles) {
-                        c.copy_from_slice(&window_sad::<LANES>(ad, wp, x0));
-                    }
-                    let tail = tiles.into_remainder();
-                    for (x, c) in (w - tail.len()..).zip(tail) {
-                        *c = window_sad::<1>(ad, wp, x)[0];
-                    }
-                    for (((&c, b), s), bd) in cost
-                        .iter()
-                        .zip(&mut *best)
-                        .zip(&mut *second)
-                        .zip(&mut *disp)
-                    {
-                        if c < *b {
-                            *s = *b;
-                            *b = c;
-                            *bd = d as f32;
-                        } else if c < *s {
-                            *s = c;
-                        }
-                    }
-                }
-                let conf = &mut conf_band[row..row + w];
-                for ((c, &b), &s) in conf.iter_mut().zip(&*best).zip(&*second) {
-                    // ratio test: distinct minima are trustworthy
-                    *c = if s.is_finite() && s > 1e-6 {
-                        (1.0 - b / s).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
+    let mut scratch = vec![0.0f32; taps * (2 * wp + wl) + 3 * w];
+    let (rp, rest) = scratch.split_at_mut(taps * wp);
+    let (lp, rest) = rest.split_at_mut(taps * wl);
+    let (ad, rest) = rest.split_at_mut(taps * wp);
+    let (cost, rest) = rest.split_at_mut(w);
+    let (best, second) = rest.split_at_mut(w);
+    for y in 0..h {
+        let row = y * w;
+        let disp = &mut disparity.pixels_mut()[row..row + w];
+        let window_rows = rp.chunks_exact_mut(wp).zip(lp.chunks_exact_mut(wl));
+        for (k, (rrow, lrow)) in window_rows.enumerate() {
+            let sy = (y + k).saturating_sub(r).min(h - 1);
+            pad_row(rrow, right.row(sy), r);
+            pad_row(lrow, left.row(sy), r);
+        }
+        best.fill(f32::INFINITY);
+        second.fill(f32::INFINITY);
+        for d in 0..=params.max_disparity {
+            let window_rows = rp.chunks_exact(wp).zip(lp.chunks_exact(wl));
+            for (adrow, (rrow, lrow)) in ad.chunks_exact_mut(wp).zip(window_rows) {
+                for ((a, &rv), &lv) in adrow.iter_mut().zip(rrow).zip(&lrow[d..]) {
+                    *a = (rv - lv).abs();
                 }
             }
-        },
-    );
+            let mut tiles = cost.chunks_exact_mut(LANES);
+            for (x0, c) in (0..).step_by(LANES).zip(&mut tiles) {
+                c.copy_from_slice(&window_sad::<LANES>(ad, wp, x0));
+            }
+            let tail = tiles.into_remainder();
+            for (x, c) in (w - tail.len()..).zip(tail) {
+                *c = window_sad::<1>(ad, wp, x)[0];
+            }
+            for (((&c, b), s), bd) in cost
+                .iter()
+                .zip(&mut *best)
+                .zip(&mut *second)
+                .zip(&mut *disp)
+            {
+                if c < *b {
+                    *s = *b;
+                    *b = c;
+                    *bd = d as f32;
+                } else if c < *s {
+                    *s = c;
+                }
+            }
+        }
+        let conf = &mut confidence.pixels_mut()[row..row + w];
+        for ((c, &b), &s) in conf.iter_mut().zip(&*best).zip(&*second) {
+            // ratio test: distinct minima are trustworthy
+            *c = if s.is_finite() && s > 1e-6 {
+                (1.0 - b / s).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+        }
+    }
     InitialDisparity {
         disparity,
         confidence,
@@ -219,49 +210,38 @@ pub fn block_match_reference(
 
     let mut disparity = GrayImage::zeros(w, h);
     let mut confidence = GrayImage::zeros(w, h);
-    // Rows are independent; each worker owns a disjoint band of output
-    // rows of both maps and runs the identical per-pixel search, so the
-    // result is byte-equal to the sequential scan at any thread count.
-    incam_parallel::par_bands_mut2(
-        disparity.pixels_mut(),
-        confidence.pixels_mut(),
-        h,
-        |rows, disp_band, conf_band| {
-            for y in rows.clone() {
-                let row = (y - rows.start) * w;
-                for x in 0..w {
-                    let mut best_d = 0usize;
-                    let mut best_cost = f32::INFINITY;
-                    let mut second = f32::INFINITY;
-                    for d in 0..=params.max_disparity {
-                        let mut cost = 0.0f32;
-                        for dy in -r..=r {
-                            for dx in -r..=r {
-                                let rv = right.get_clamped(x as isize + dx, y as isize + dy);
-                                let lv =
-                                    left.get_clamped(x as isize + dx + d as isize, y as isize + dy);
-                                cost += (rv - lv).abs();
-                            }
-                        }
-                        if cost < best_cost {
-                            second = best_cost;
-                            best_cost = cost;
-                            best_d = d;
-                        } else if cost < second {
-                            second = cost;
-                        }
+    for y in 0..h {
+        for x in 0..w {
+            let mut best_d = 0usize;
+            let mut best_cost = f32::INFINITY;
+            let mut second = f32::INFINITY;
+            for d in 0..=params.max_disparity {
+                let mut cost = 0.0f32;
+                for dy in -r..=r {
+                    for dx in -r..=r {
+                        let rv = right.get_clamped(x as isize + dx, y as isize + dy);
+                        let lv = left.get_clamped(x as isize + dx + d as isize, y as isize + dy);
+                        cost += (rv - lv).abs();
                     }
-                    disp_band[row + x] = best_d as f32;
-                    // ratio test: distinct minima are trustworthy
-                    conf_band[row + x] = if second.is_finite() && second > 1e-6 {
-                        (1.0 - best_cost / second).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
+                }
+                if cost < best_cost {
+                    second = best_cost;
+                    best_cost = cost;
+                    best_d = d;
+                } else if cost < second {
+                    second = cost;
                 }
             }
-        },
-    );
+            disparity.set(x, y, best_d as f32);
+            // ratio test: distinct minima are trustworthy
+            let conf = if second.is_finite() && second > 1e-6 {
+                (1.0 - best_cost / second).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            confidence.set(x, y, conf);
+        }
+    }
     InitialDisparity {
         disparity,
         confidence,

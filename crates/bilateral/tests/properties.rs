@@ -103,7 +103,7 @@ proptest! {
     /// The tap-table splat, fused xyz blur, and tap-table slice are each
     /// bit-exact against the original per-tap formulations, across random
     /// image sizes (including 1×N / N×1), grid resolutions, confidence
-    /// maps, and both pool dispatch paths.
+    /// maps, and threads 1 and 4.
     #[test]
     fn grid_fast_paths_bitwise_equal_reference(
         w in 1usize..40,
@@ -146,7 +146,7 @@ proptest! {
 
     /// The row-slice block matcher is bit-exact against the per-pixel
     /// search, in both maps, across image sizes narrower than a tile, a
-    /// window or the disparity range, and both pool dispatch paths.
+    /// window or the disparity range, and threads 1 and 4.
     #[test]
     fn block_match_bitwise_equal_reference(
         w in 1usize..40,

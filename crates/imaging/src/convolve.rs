@@ -1,9 +1,11 @@
 //! Separable convolution and the small set of kernels the workspace needs
 //! (box, Gaussian). Borders use pixel replication.
 //!
-//! Both 1-D passes evaluate output rows on the [`incam_parallel`] pool;
-//! each output pixel is a pure function of its coordinates, so results
-//! are byte-identical at any thread count.
+//! The vertical pass evaluates output rows on the [`incam_parallel`]
+//! pool; each output pixel is a pure function of its coordinates, so
+//! results are byte-identical at any thread count. The row pass and the
+//! fused separable pass each run as one sequential sweep in reused
+//! buffers.
 //!
 //! ## Kernel microarchitecture
 //!
@@ -17,10 +19,10 @@
 //! op sequence of the clamped per-pixel formulation (kept as
 //! [`convolve_h_reference`]/[`convolve_v_reference`] for tests and
 //! benches) — so outputs are byte-identical to it.
-//! [`convolve_separable`] additionally fuses the H and V passes through a
-//! rolling ring of H-filtered rows instead of materializing a full
-//! intermediate image per pass; [`convolve_separable_into`] runs the same
-//! fused routine over the whole image in caller-owned buffers.
+//! [`convolve_separable_into`] fuses the H and V passes through a
+//! rolling ring of H-filtered rows in caller-owned buffers instead of
+//! materializing a full intermediate image per pass;
+//! [`convolve_separable`] runs it on a fresh scratch.
 
 use crate::image::GrayImage;
 
@@ -69,12 +71,10 @@ pub fn convolve_h(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let (w, h) = img.dims();
     let mut out = vec![0.0f32; w * h];
-    incam_parallel::par_bands_mut(&mut out, h, |rows, band| {
-        let mut pad = vec![0.0; w + kernel.len() - 1];
-        for (y, dst) in rows.zip(band.chunks_mut(w)) {
-            convolve_row(img.row(y), kernel, &mut pad, dst);
-        }
-    });
+    let mut pad = vec![0.0; w + kernel.len() - 1];
+    for (y, dst) in out.chunks_mut(w).enumerate() {
+        convolve_row(img.row(y), kernel, &mut pad, dst);
+    }
     GrayImage::from_vec(w, h, out)
 }
 
@@ -91,22 +91,17 @@ pub fn convolve_v(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 }
 
 /// Separable convolution: horizontal then vertical pass with the same
-/// 1-D kernel.
+/// 1-D kernel, fused through a ring of H-filtered rows
+/// ([`convolve_separable_into`] on a fresh [`SeparableScratch`]).
+/// Byte-identical to `convolve_v(&convolve_h(img, kernel), kernel)`.
 ///
-/// The two passes are fused: workers stream over their band of output
-/// rows keeping a rolling ring of the `kernel.len()` H-filtered rows the
-/// V-pass needs, so no full intermediate image is materialized (the ring
-/// stays cache-resident; band boundaries recompute at most one ring of
-/// halo rows). Byte-identical to
-/// `convolve_v(&convolve_h(img, kernel), kernel)` at any thread count.
+/// # Panics
+///
+/// Panics if the kernel is empty or of even length.
 pub fn convolve_separable(img: &GrayImage, kernel: &[f32]) -> GrayImage {
-    check_kernel(kernel);
-    let (w, h) = img.dims();
-    let mut out = vec![0.0f32; w * h];
-    incam_parallel::par_bands_mut(&mut out, h, |rows, band| {
-        separable_band(img, kernel, rows, band, &mut Vec::new());
-    });
-    GrayImage::from_vec(w, h, out)
+    let mut scratch = SeparableScratch::default();
+    convolve_separable_into(img, kernel, &mut scratch);
+    GrayImage::from_vec(img.width(), img.height(), scratch.out)
 }
 
 /// Reusable buffers for [`convolve_separable_into`]: the ring of
@@ -119,10 +114,9 @@ pub struct SeparableScratch {
     out: Vec<f32>,
 }
 
-/// [`convolve_separable`] on the calling thread into caller-owned
-/// buffers, returning the row-major `width × height` result: the same
-/// fused ring routine run as one band over the whole image, so the output
-/// is bit-equal and, once `scratch` has grown, nothing is allocated.
+/// The fused separable convolution into caller-owned buffers, returning
+/// the row-major `width × height` result. Once `scratch` has grown,
+/// nothing is allocated.
 ///
 /// # Panics
 ///
@@ -136,34 +130,28 @@ pub fn convolve_separable_into<'s>(
     let SeparableScratch { ring, out } = scratch;
     out.clear();
     out.resize(img.len(), 0.0);
-    separable_band(img, kernel, 0..img.height(), out, ring);
+    separable_pass(img, kernel, out, ring);
     out
 }
 
-/// The fused separable pass over output rows `rows` into `band` (zeroed,
-/// `rows.len() × width`). `ring` holds `k` ring slots and the row pass's
-/// padded row. Slot `j % k` holds the H-convolved row `j`; the window of
-/// live rows for output row `y` is `[y−r, y+r]` clamped, which spans at
-/// most `k` real rows, so every slot is written before it is read.
-fn separable_band(
-    img: &GrayImage,
-    kernel: &[f32],
-    rows: std::ops::Range<usize>,
-    band: &mut [f32],
-    ring: &mut Vec<f32>,
-) {
+/// The fused separable pass into `out` (zeroed, `width × height`): one
+/// sweep over the output rows keeps a rolling ring of the `k` H-filtered
+/// rows the V-pass needs, so no full intermediate image is materialized.
+/// `ring` holds the `k` ring slots and the row pass's padded row. Slot
+/// `j % k` holds the H-convolved row `j`; the window of live rows for
+/// output row `y` is `[y−r, y+r]` clamped, which spans at most `k` real
+/// rows, so every slot is written before it is read.
+fn separable_pass(img: &GrayImage, kernel: &[f32], out: &mut [f32], ring: &mut Vec<f32>) {
     let (w, h) = img.dims();
     let k = kernel.len();
     let r = k / 2;
     ring.resize(k * w + w + k - 1, 0.0);
     let (slots, pad) = ring.split_at_mut(k * w);
-    let lo = rows.start.saturating_sub(r);
-    let mut top = (rows.start + r).min(h - 1);
-    for j in lo..=top {
+    let mut top = r.min(h - 1);
+    for j in 0..=top {
         convolve_row(img.row(j), kernel, pad, &mut slots[(j % k) * w..][..w]);
     }
-    for (i, dst) in band.chunks_mut(w).enumerate() {
-        let y = rows.start + i;
+    for (y, dst) in out.chunks_mut(w).enumerate() {
         let need = (y + r).min(h - 1);
         while top < need {
             top += 1;
@@ -172,8 +160,8 @@ fn separable_band(
         for (t, &kv) in kernel.iter().enumerate() {
             let sy = (y + t) as isize - r as isize;
             let sy = sy.clamp(0, h as isize - 1) as usize % k;
-            for (out, &sv) in dst.iter_mut().zip(&slots[sy * w..(sy + 1) * w]) {
-                *out += kv * sv;
+            for (o, &sv) in dst.iter_mut().zip(&slots[sy * w..(sy + 1) * w]) {
+                *o += kv * sv;
             }
         }
     }

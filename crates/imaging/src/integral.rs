@@ -8,6 +8,10 @@
 //! Both a plain and a *squared* integral image are provided; the pair
 //! yields per-window mean and variance for the variance normalization that
 //! Viola-Jones applies to every candidate window.
+//!
+//! A table is built in one sequential fused pass; the original two-pass
+//! construction stays as [`IntegralImage::new_reference`], the oracle the
+//! proptests pin it bit-equal to.
 
 use crate::image::GrayImage;
 #[cfg(test)]
@@ -49,50 +53,25 @@ impl IntegralImage {
         Self::from_mapped(img, |p| (p as f64) * (p as f64))
     }
 
-    fn from_mapped(img: &GrayImage, f: impl Fn(f32) -> f64 + Sync) -> Self {
+    /// One fused pass over flat row slices: each sweep carries the row
+    /// prefix sum and adds the previous table row. Bit-equal to the
+    /// two-pass construction ([`IntegralImage::new_reference`]): each
+    /// table entry pairs the same two values (row carry + previous row)
+    /// and IEEE-754 addition is commutative; the carry can never be -0.0
+    /// (it starts at +0.0 and additions of mapped pixels preserve that),
+    /// so adding the all-zero row 0 is exact.
+    fn from_mapped(img: &GrayImage, f: impl Fn(f32) -> f64) -> Self {
         let (w, h) = img.dims();
         let tw = w + 1;
         let mut table = vec![0.0f64; tw * (h + 1)];
-        if incam_parallel::num_threads() == 1 || incam_parallel::in_parallel_region() {
-            // Fused single pass over flat row slices: one sweep carrying
-            // the row prefix sum and adding the previous table row.
-            // Bit-equal to the two-pass construction below: each table
-            // entry pairs the same two values (row carry + previous row)
-            // and IEEE-754 addition is commutative; the carry can never
-            // be -0.0 (it starts at +0.0 and additions of mapped pixels
-            // preserve that), so adding the all-zero row 0 is exact.
-            for y in 1..=h {
-                let (head, tail) = table.split_at_mut(y * tw);
-                let prev = &head[(y - 1) * tw..];
-                let cur = &mut tail[..tw];
-                let mut carry = 0.0f64;
-                for ((slot, &up), &p) in cur[1..].iter_mut().zip(&prev[1..]).zip(img.row(y - 1)) {
-                    carry += f(p);
-                    *slot = up + carry;
-                }
-            }
-        } else {
-            // Pass 1 (parallel rows): table row y+1 holds the running
-            // prefix sums of image row y, computed over flat row slices.
-            // Rows are independent, so the pool computes them
-            // byte-identically at any thread count.
-            let (_, rows) = table.split_at_mut(tw);
-            incam_parallel::par_chunks(rows, tw, |y, row| {
-                let mut row_sum = 0.0f64;
-                for (slot, &p) in row[1..].iter_mut().zip(img.row(y)) {
-                    row_sum += f(p);
-                    *slot = row_sum;
-                }
-            });
-            // Pass 2 (sequential): vertical accumulation over flat
-            // slices, pairing the same two values as the fused pass.
-            for y in 2..=h {
-                let (head, tail) = table.split_at_mut(y * tw);
-                let prev = &head[(y - 1) * tw..];
-                let cur = &mut tail[..tw];
-                for (slot, &up) in cur[1..].iter_mut().zip(&prev[1..]) {
-                    *slot += up;
-                }
+        for y in 1..=h {
+            let (head, tail) = table.split_at_mut(y * tw);
+            let prev = &head[(y - 1) * tw..];
+            let cur = &mut tail[..tw];
+            let mut carry = 0.0f64;
+            for ((slot, &up), &p) in cur[1..].iter_mut().zip(&prev[1..]).zip(img.row(y - 1)) {
+                carry += f(p);
+                *slot = up + carry;
             }
         }
         Self {

@@ -224,8 +224,8 @@ proptest! {
     }
 
     /// The single-pass integral-image construction is bit-exact against
-    /// the original two-pass bounds-checked formulation, at both pool
-    /// dispatch paths (threads 1 and 4) and on degenerate shapes.
+    /// the original two-pass bounds-checked formulation, at threads 1 and
+    /// 4 and on degenerate shapes.
     #[test]
     fn integral_fast_path_bitwise_equal_reference(
         w in 1usize..48,

@@ -3,12 +3,12 @@
 //! `incam-parallel` keeps outputs byte-identical at any thread count by
 //! construction: workers compute into disjoint, pre-placed slots and
 //! the pool combines them in a fixed order. That contract only holds if
-//! the closures handed to `par_map`/`par_map_rows`/`par_chunks`/
-//! `par_reduce`/`par_bands_mut*` are pure per-item functions — the
-//! borrow checker stops most shared-mutation attempts, but interior
-//! mutability (`Mutex`, `RefCell`, atomics) and `unsafe`-free cell
-//! types slip through it, and those are exactly the races that
-//! reintroduce schedule-dependent output.
+//! the closures handed to `par_map`/`par_map_rows`/`par_chunks` are
+//! pure per-item functions — the borrow checker stops most
+//! shared-mutation attempts, but interior mutability (`Mutex`,
+//! `RefCell`, atomics) and `unsafe`-free cell types slip through it,
+//! and those are exactly the races that reintroduce schedule-dependent
+//! output.
 //!
 //! Two rules walk every closure whose call target is one of the pool
 //! entry points:
@@ -20,7 +20,8 @@
 //! - **par-float-accum** — compound `+=`/`-=`/`*=` accumulation into a
 //!   captured binding: even when synchronized, the combination order
 //!   depends on the schedule, which is non-associative for floats.
-//!   `par_reduce` and `par_bands_mut2` are the approved shapes.
+//!   The approved shape returns the value from the closure and folds the
+//!   results in index order on the calling thread.
 //!
 //! The capture analysis is lexical and over-approximate in the safe
 //! direction: nested-closure parameters and all `let`/`for` bindings in
@@ -34,14 +35,7 @@ use crate::visit::FileCtx;
 use crate::Diagnostic;
 
 /// The deterministic pool's entry points taking per-item closures.
-pub const PAR_FNS: &[&str] = &[
-    "par_map",
-    "par_map_rows",
-    "par_chunks",
-    "par_reduce",
-    "par_bands_mut",
-    "par_bands_mut2",
-];
+pub const PAR_FNS: &[&str] = &["par_map", "par_map_rows", "par_chunks"];
 
 /// Method names that mutate their receiver (or its interior).
 const MUT_METHODS: &[&str] = &[
@@ -179,8 +173,8 @@ fn analyze(ctx: &FileCtx<'_>, callee: &str, closure: &Closure, diags: &mut Vec<D
                     tok,
                     format!(
                         "order-sensitive `{pc}=` accumulation into captured `{name}` inside a \
-                         `{callee}` closure; use `par_reduce` or the banded helpers \
-                         (`par_bands_mut2`) so combination order is fixed"
+                         `{callee}` closure; return the value from the closure and fold the \
+                         results in index order on the calling thread"
                     ),
                 ));
             } else {

@@ -266,9 +266,8 @@ fn par_float_accum_fires_on_compound_accumulation() {
         rust_diags("crates/demo/src/kernels.rs", "par_float_accum.rs"),
         [
             "crates/demo/src/kernels.rs:7:9: [par-float-accum] order-sensitive `+=` \
-             accumulation into captured `total` inside a `par_map_rows` closure; use \
-             `par_reduce` or the banded helpers (`par_bands_mut2`) so combination order is \
-             fixed"
+             accumulation into captured `total` inside a `par_map_rows` closure; return the \
+             value from the closure and fold the results in index order on the calling thread"
         ]
     );
 }

@@ -1,25 +1,21 @@
 //! # incam-parallel — deterministic data-parallel kernel substrate
 //!
 //! A zero-dependency scoped worker pool (`std::thread::scope`) exposing
-//! order-preserving data-parallel primitives for the workspace's hot
-//! kernels. Every primitive carries the same **determinism contract**:
+//! order-preserving primitives over **independent** work units: VR camera
+//! pairs, Viola-Jones scan rows, NN batch rows and image rows. Every
+//! primitive carries the same **determinism contract**:
 //!
 //! > The result is byte-identical regardless of the number of worker
 //! > threads, including the sequential fallback at one thread.
 //!
-//! The contract holds by construction, not by luck:
-//!
-//! * [`par_chunks`] / [`par_map_rows`] / [`par_map`] only ever compute
-//!   per-element (or per-row) values that are pure functions of the
-//!   element's index — threads write disjoint output regions, so no
-//!   ordering is observable;
-//! * [`par_reduce`] splits the index space into **fixed-size chunks whose
-//!   boundaries do not depend on the thread count**, computes one partial
-//!   per chunk, and folds the partials in chunk order on the calling
-//!   thread — the floating-point combination tree is frozen;
-//! * [`par_bands_mut2`] hands threads disjoint bands of two parallel
-//!   payload arrays; its callers (e.g. the bilateral-grid splat) keep the
-//!   per-slot accumulation order fixed independent of the banding.
+//! The contract holds by construction, not by luck: [`par_chunks`] /
+//! [`par_map_rows`] / [`par_map`] only ever compute per-element (or
+//! per-row) values that are pure functions of the element's index —
+//! threads write disjoint output regions, so no ordering is observable.
+//! A kernel whose units are not independent (a scatter into shared
+//! vertices, a ring of filtered rows, a running prefix sum) runs as one
+//! sequential pass instead, so there is one level of parallelism and no
+//! kernel has to make N threads reproduce one thread's bits.
 //!
 //! ## Thread-count selection
 //!
@@ -45,11 +41,6 @@
 //!     }
 //! });
 //! assert_eq!(data[..6], [0, 1, 2, 3, 4, 5]);
-//!
-//! // An order-preserving reduction: fixed chunk boundaries, fixed fold
-//! // order, identical result at any thread count.
-//! let total = incam_parallel::par_reduce(1000, 64, |r| r.sum::<usize>(), |a, b| a + b);
-//! assert_eq!(total, Some(499_500));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -93,7 +84,7 @@ fn env_threads() -> usize {
 /// The worker-pool size parallel regions will use: the programmatic
 /// override if set, else `INCAM_THREADS`, else
 /// [`std::thread::available_parallelism`].
-pub fn num_threads() -> usize {
+fn num_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if o != 0 {
         o
@@ -123,7 +114,7 @@ pub fn set_thread_override(threads: Option<usize>) {
 /// True while executing inside a pool worker (or inside the calling
 /// thread's own band). Nested parallel regions check this to fall back
 /// to sequential execution.
-pub fn in_parallel_region() -> bool {
+fn in_parallel_region() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
@@ -279,152 +270,6 @@ where
     })
 }
 
-/// Order-preserving parallel reduction over `0..n`.
-///
-/// The index space is cut into fixed `chunk`-sized pieces (the last may
-/// be short), `map` produces one partial per piece, and the partials are
-/// folded **in piece order** on the calling thread. Because the piece
-/// boundaries depend only on `(n, chunk)` — never on the thread count —
-/// the floating-point combination tree is identical under any pool size,
-/// and the result is byte-identical. Returns `None` when `n == 0`.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn par_reduce<R, M, F>(n: usize, chunk: usize, map: M, fold: F) -> Option<R>
-where
-    R: Send,
-    M: Fn(Range<usize>) -> R + Sync,
-    F: Fn(R, R) -> R,
-{
-    assert!(chunk > 0, "chunk must be nonzero");
-    if n == 0 {
-        return None;
-    }
-    let pieces = n.div_ceil(chunk);
-    let partials = par_map(pieces, |p| {
-        let start = p * chunk;
-        map(start..(start + chunk).min(n))
-    });
-    partials.into_iter().reduce(fold)
-}
-
-/// Partitions one payload array along a unit axis and runs
-/// `f(unit_range, band)` once per band.
-///
-/// The single-array sibling of [`par_bands_mut2`], for kernels that keep
-/// **rolling state across consecutive units** (a ring of filtered rows, a
-/// sliding window of blurred slabs) and therefore cannot use the
-/// one-callback-per-chunk shape of [`par_chunks`]. `data` must hold
-/// `units * per_unit` elements; band boundaries fall on unit boundaries.
-///
-/// **Determinism contract for callers:** the band partition depends on
-/// the thread count, so every output slot's value must be a pure
-/// function of the inputs and its own unit index — workers may share
-/// rolling state *within* a band only as a cache of recomputable values
-/// (e.g. a halo of filtered rows that a band boundary forces the next
-/// worker to recompute identically).
-///
-/// # Panics
-///
-/// Panics if `units` is zero or does not divide `data.len()`.
-pub fn par_bands_mut<T, F>(data: &mut [T], units: usize, f: F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    assert!(units > 0, "units must be nonzero");
-    assert_eq!(
-        data.len() % units,
-        0,
-        "data length must be a multiple of units"
-    );
-    let per_unit = data.len() / units;
-    let threads = effective_threads(units);
-    if threads <= 1 {
-        f(0..units, data);
-        return;
-    }
-    let plan = bands(units, threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = data;
-        let mut tail_band: Option<(Range<usize>, &mut [T])> = None;
-        for (i, band) in plan.iter().enumerate() {
-            let take = band.end - band.start;
-            let (mine, next) = rest.split_at_mut(take * per_unit);
-            rest = next;
-            let band = band.clone();
-            if i + 1 == plan.len() {
-                tail_band = Some((band, mine));
-            } else {
-                scope.spawn(move || as_worker(|| f(band, mine)));
-            }
-        }
-        if let Some((band, mine)) = tail_band {
-            as_worker(|| f(band, mine));
-        }
-    });
-}
-
-/// Partitions two parallel payload arrays along a shared unit axis and
-/// runs `f(unit_range, a_band, b_band)` once per band.
-///
-/// `a` must hold `units * a_per_unit` elements and `b` must hold
-/// `units * b_per_unit`; band boundaries fall on unit boundaries so both
-/// slices shard consistently. Used for kernels that update two parallel
-/// accumulator arrays (bilateral-grid values/weights, disparity/
-/// confidence maps).
-///
-/// **Determinism contract for callers:** the band partition *does*
-/// depend on the thread count, so `f` must produce band contents that
-/// are invariant under re-banding — each output slot's value must be a
-/// pure function of the inputs and its own unit index (e.g. a scatter
-/// that accumulates every slot's contributions in a fixed global order).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with `units`.
-pub fn par_bands_mut2<A, B, F>(a: &mut [A], b: &mut [B], units: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(Range<usize>, &mut [A], &mut [B]) + Sync,
-{
-    assert!(units > 0, "units must be nonzero");
-    assert_eq!(a.len() % units, 0, "a length must be a multiple of units");
-    assert_eq!(b.len() % units, 0, "b length must be a multiple of units");
-    let a_per_unit = a.len() / units;
-    let b_per_unit = b.len() / units;
-    let threads = effective_threads(units);
-    if threads <= 1 {
-        f(0..units, a, b);
-        return;
-    }
-    let plan = bands(units, threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let (mut rest_a, mut rest_b) = (a, b);
-        let mut tail_band: Option<(Range<usize>, &mut [A], &mut [B])> = None;
-        for (i, band) in plan.iter().enumerate() {
-            let take = band.end - band.start;
-            let (mine_a, next_a) = rest_a.split_at_mut(take * a_per_unit);
-            let (mine_b, next_b) = rest_b.split_at_mut(take * b_per_unit);
-            rest_a = next_a;
-            rest_b = next_b;
-            let band = band.clone();
-            if i + 1 == plan.len() {
-                tail_band = Some((band, mine_a, mine_b));
-            } else {
-                scope.spawn(move || as_worker(|| f(band, mine_a, mine_b)));
-            }
-        }
-        if let Some((band, mine_a, mine_b)) = tail_band {
-            as_worker(|| f(band, mine_a, mine_b));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,83 +335,6 @@ mod tests {
         for threads in [1, 2, 5] {
             let got = with_threads(threads, || par_map(11, |i| i * i));
             assert_eq!(got, (0..11).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_reduce_is_thread_count_invariant_on_floats() {
-        // A sum whose value depends on the combination tree: only a
-        // frozen tree gives bit-equal results across pool sizes.
-        let term = |i: usize| 1.0f64 / (i as f64 + 1.0);
-        let reduce = || par_reduce(10_001, 64, |r| r.map(term).sum::<f64>(), |a, b| a + b).unwrap();
-        let reference = with_threads(1, reduce);
-        for threads in [2, 3, 8] {
-            let got = with_threads(threads, reduce);
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_reduce_empty_is_none() {
-        assert_eq!(par_reduce(0, 8, |r| r.len(), |a, b| a + b), None);
-    }
-
-    #[test]
-    fn par_bands_mut_rolling_state_is_band_invariant() {
-        // A worker that carries rolling state (here: recomputable row
-        // sums) must produce the same bytes under any banding.
-        let units = 11;
-        let width = 4;
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let mut data = vec![0u64; units * width];
-                par_bands_mut(&mut data, units, |range, band| {
-                    for (i, row) in band.chunks_mut(width).enumerate() {
-                        let u = range.start + i;
-                        for (x, slot) in row.iter_mut().enumerate() {
-                            *slot = (u * 100 + x) as u64;
-                        }
-                    }
-                });
-                data
-            })
-        };
-        let reference = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of units")]
-    fn par_bands_mut_ragged_rejected() {
-        let mut v = vec![0u8; 10];
-        par_bands_mut(&mut v, 3, |_, _| {});
-    }
-
-    #[test]
-    fn par_bands_mut2_shards_consistently() {
-        let units = 9;
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let mut a = vec![0u32; units * 3];
-                let mut b = vec![0u16; units * 2];
-                par_bands_mut2(&mut a, &mut b, units, |range, ab, bb| {
-                    for (i, u) in range.clone().enumerate() {
-                        for (j, slot) in ab[i * 3..(i + 1) * 3].iter_mut().enumerate() {
-                            *slot = (u * 10 + j) as u32;
-                        }
-                        for (j, slot) in bb[i * 2..(i + 1) * 2].iter_mut().enumerate() {
-                            *slot = (u * 10 + j) as u16;
-                        }
-                    }
-                });
-                (a, b)
-            })
-        };
-        let reference = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), reference, "threads={threads}");
         }
     }
 

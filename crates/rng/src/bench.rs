@@ -26,10 +26,12 @@
 //! Knobs: a positional CLI argument filters benchmarks by substring
 //! (`cargo bench -p incam-bench --bench kernels -- scan`);
 //! `INCAM_BENCH_DIR` redirects the JSON output directory (default:
-//! current directory); `INCAM_BENCH_SAMPLES` overrides every group's
-//! sample count.
+//! current directory; a directory that cannot be written fails the run
+//! with status 1); `INCAM_BENCH_SAMPLES` overrides every group's sample
+//! count.
 
 use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 pub use crate::{criterion_group, criterion_main};
@@ -94,18 +96,34 @@ impl Criterion {
         }
     }
 
-    /// Prints the closing line and writes `BENCH_<target>.json`.
+    /// Writes `BENCH_<target>.json` into `INCAM_BENCH_DIR` (default: the
+    /// current directory) and prints the closing line.
+    ///
+    /// A run whose results cannot be recorded has failed: when the write
+    /// fails, this prints the path and the OS error and exits the process
+    /// with status 1.
     pub fn final_summary(&mut self) {
         let dir = std::env::var("INCAM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.target));
-        match std::fs::write(&path, self.to_json()) {
-            Ok(()) => println!(
+        match self.write_json(Path::new(&dir)) {
+            Ok(path) => println!(
                 "\n{} benchmark(s) -> {}",
                 self.results.len(),
                 path.display()
             ),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
         }
+    }
+
+    /// Writes `BENCH_<target>.json` into `dir` and returns its path; the
+    /// error names the path and the OS error.
+    fn write_json(&self, dir: &Path) -> Result<PathBuf, String> {
+        let path = dir.join(format!("BENCH_{}.json", self.target));
+        std::fs::write(&path, self.to_json())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        Ok(path)
     }
 
     /// Renders all results as a JSON document (hand-rolled: the hermetic
@@ -370,6 +388,22 @@ mod tests {
         group.bench_function("sum", |b| b.iter(|| 1u64 + 1));
         group.finish();
         assert!(c.results.is_empty());
+    }
+
+    #[test]
+    fn summary_write_into_missing_dir_fails() {
+        let c = Criterion {
+            target: "selftest".to_string(),
+            filter: None,
+            results: Vec::new(),
+        };
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("no-such-dir");
+        let err = c.write_json(&dir).unwrap_err();
+        assert!(
+            err.starts_with("cannot write ") && err.contains("no-such-dir/BENCH_selftest.json: "),
+            "{err}"
+        );
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -33,9 +33,8 @@ pub fn run_functional_pipeline(capture: &RigCapture) -> StereoPanorama {
     // the worker pool (the paper's per-camera parallelism); results come
     // back in rig order and each pair's chain is a pure function of its
     // capture, so the panorama is byte-identical at any thread count.
-    // Kernels inside a pair (convolution, grid, block match) detect the
-    // nested parallel region and run sequentially rather than
-    // oversubscribing.
+    // This is the one level of parallelism: the kernels inside a pair
+    // (grid splat and blur, block match) are sequential passes.
     let pair_depths: Vec<PairDepth> = incam_parallel::par_map(capture.pairs.len(), |i| {
         let pair = &capture.pairs[i];
         // B1: demosaic each raw view
