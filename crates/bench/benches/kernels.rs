@@ -30,7 +30,7 @@ use incam_rng::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use incam_rng::rngs::StdRng;
 use incam_rng::{Rng, SeedableRng};
 use incam_snnap::{SnnapAccelerator, SnnapConfig};
-use incam_viola::scan::{scan, scan_reference, ScanParams, StepSize};
+use incam_viola::scan::{scan_reference, scan_with, ScanParams, ScanScratch, StepSize};
 use incam_viola::train::{train_cascade, CascadeTrainConfig};
 use incam_wispcam::pipeline::FaPipelineConfig;
 use std::hint::black_box;
@@ -104,11 +104,10 @@ fn bench_bilateral(c: &mut Criterion) {
     group.finish();
 }
 
-/// Viola-Jones scan: per-scale compiled flat-offset cascade vs the
-/// original per-feature coordinate-math evaluation.
+/// Viola-Jones scan: the stumps the stages read, compiled per scale into
+/// flat offsets and scanned in one reused scratch, vs the original
+/// per-feature coordinate-math evaluation.
 fn bench_viola(c: &mut Criterion) {
-    // Same workload as the committed thread-scaling sweep
-    // (benches/parallel.rs), so the two baselines stay comparable.
     let mut rng = StdRng::seed_from_u64(22);
     let faces: Vec<GrayImage> = (0..80)
         .map(|_| {
@@ -131,7 +130,17 @@ fn bench_viola(c: &mut Criterion) {
     let mut group = c.benchmark_group("viola");
     group.sample_size(20);
     group.bench_function(BenchmarkId::new("scan_160x120", "after"), |b| {
-        single_thread(|| b.iter(|| scan(black_box(&cascade.cascade), black_box(&frame), &params)));
+        let mut scratch = ScanScratch::default();
+        single_thread(|| {
+            b.iter(|| {
+                scan_with(
+                    black_box(&cascade.cascade),
+                    black_box(&frame),
+                    &params,
+                    &mut scratch,
+                )
+            })
+        });
     });
     group.bench_function(BenchmarkId::new("scan_160x120", "before"), |b| {
         single_thread(|| {

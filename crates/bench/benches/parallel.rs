@@ -4,7 +4,8 @@
 //! thread-count deterministic, every sweep point computes the *same*
 //! bytes — only the wall clock may change. Kernels that run as one
 //! sequential pass (separable convolution, integral image, grid blur,
-//! block matching) are not swept: the pool never sees them.
+//! block matching, the Viola-Jones scan) are not swept: the pool never
+//! sees them.
 //!
 //! Results land in `BENCH_parallel.json` (see `INCAM_BENCH_DIR`). On a
 //! host with fewer cores than the larger pool sizes the sweep is still
@@ -12,7 +13,6 @@
 //! at thread counts above the available parallelism.
 
 use incam_bilateral::grid::{BilateralGrid, GridParams};
-use incam_imaging::faces::{render_face, render_non_face, Identity, Nuisance};
 use incam_imaging::image::GrayImage;
 use incam_imaging::quality::{ms_ssim, MsSsimConfig};
 use incam_imaging::scenes::stereo_scene;
@@ -22,8 +22,6 @@ use incam_nn::topology::Topology;
 use incam_rng::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use incam_rng::rngs::StdRng;
 use incam_rng::{Rng, SeedableRng};
-use incam_viola::scan::{scan, ScanParams, StepSize};
-use incam_viola::train::{train_cascade, CascadeTrainConfig};
 use incam_vr::blocks::run_functional_pipeline;
 use incam_vr::frame::synthetic_capture;
 use incam_vr::rig::CameraRig;
@@ -79,36 +77,6 @@ fn bench_bilateral(c: &mut Criterion) {
     group.finish();
 }
 
-/// The multi-scale Viola-Jones sweep (viola crate).
-fn bench_viola(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(22);
-    let pos: Vec<GrayImage> = (0..80)
-        .map(|_| {
-            let id = Identity::sample(&mut rng);
-            render_face(&id, &Nuisance::sample(&mut rng, 0.25), 16, &mut rng)
-        })
-        .collect();
-    let neg: Vec<GrayImage> = (0..160).map(|_| render_non_face(16, &mut rng)).collect();
-    let cascade = train_cascade(&pos, &neg, &CascadeTrainConfig::fast());
-    let frame = GrayImage::from_fn(160, 120, |x, y| ((x * 7 + y * 13) % 97) as f32 / 97.0);
-    let params = ScanParams {
-        scale_factor: 1.25,
-        step: StepSize::Static(2),
-        min_scale: 1.0,
-        min_neighbors: 1,
-    };
-
-    let mut group = c.benchmark_group("scaling_viola");
-    for t in THREADS {
-        group.bench_with_input(BenchmarkId::new("scan_160x120", t), &t, |b, &t| {
-            with_threads(t, || {
-                b.iter(|| scan(black_box(&cascade.cascade), black_box(&frame), &params))
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Batched MLP inference (nn crate).
 fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
@@ -146,12 +114,5 @@ fn bench_vr(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    parallel,
-    bench_imaging,
-    bench_bilateral,
-    bench_viola,
-    bench_nn,
-    bench_vr
-);
+criterion_group!(parallel, bench_imaging, bench_bilateral, bench_nn, bench_vr);
 criterion_main!(parallel);

@@ -9,9 +9,11 @@
 //! yields per-window mean and variance for the variance normalization that
 //! Viola-Jones applies to every candidate window.
 //!
-//! A table is built in one sequential fused pass; the original two-pass
-//! construction stays as [`IntegralImage::new_reference`], the oracle the
-//! proptests pin it bit-equal to.
+//! A table is built in one sequential fused pass, into a fresh table or,
+//! through [`IntegralImage::rebuild`], into one a previous image left
+//! behind; the original two-pass construction stays as
+//! [`IntegralImage::new_reference`], the oracle the proptests pin it
+//! bit-equal to.
 
 use crate::image::GrayImage;
 #[cfg(test)]
@@ -20,7 +22,8 @@ use crate::image::Image;
 /// A summed-area table over a grayscale image.
 ///
 /// Internally stores an `(w+1) × (h+1)` table of `f64` prefix sums so
-/// rectangle queries need no edge-case branches.
+/// rectangle queries need no edge-case branches. The default table holds
+/// no entries and allocates nothing; [`IntegralImage::rebuild`] sizes it.
 ///
 /// # Examples
 ///
@@ -33,7 +36,7 @@ use crate::image::Image;
 /// assert_eq!(ii.rect_sum(1, 1, 2, 2), 4.0);
 /// assert_eq!(ii.rect_sum(0, 0, 4, 4), 16.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntegralImage {
     width: usize,
     height: usize,
@@ -44,13 +47,29 @@ pub struct IntegralImage {
 impl IntegralImage {
     /// Builds the integral image of `img`.
     pub fn new(img: &GrayImage) -> Self {
-        Self::from_mapped(img, |p| p as f64)
+        let mut ii = Self::default();
+        ii.rebuild(img);
+        ii
     }
 
     /// Builds the integral image of the *squared* intensities of `img`,
     /// used together with [`IntegralImage::new`] for window variance.
     pub fn squared(img: &GrayImage) -> Self {
-        Self::from_mapped(img, |p| (p as f64) * (p as f64))
+        let mut ii = Self::default();
+        ii.rebuild_squared(img);
+        ii
+    }
+
+    /// Rebuilds this table as [`IntegralImage::new`]`(img)` would, reusing
+    /// its allocation: a table at least as large as `img`'s needs none.
+    pub fn rebuild(&mut self, img: &GrayImage) {
+        self.rebuild_mapped(img, |p| p as f64);
+    }
+
+    /// Rebuilds this table as [`IntegralImage::squared`]`(img)` would,
+    /// reusing its allocation.
+    pub fn rebuild_squared(&mut self, img: &GrayImage) {
+        self.rebuild_mapped(img, |p| (p as f64) * (p as f64));
     }
 
     /// One fused pass over flat row slices: each sweep carries the row
@@ -59,25 +78,33 @@ impl IntegralImage {
     /// table entry pairs the same two values (row carry + previous row)
     /// and IEEE-754 addition is commutative; the carry can never be -0.0
     /// (it starts at +0.0 and additions of mapped pixels preserve that),
-    /// so adding the all-zero row 0 is exact.
-    fn from_mapped(img: &GrayImage, f: impl Fn(f32) -> f64) -> Self {
+    /// so adding the all-zero row 0 is exact. Row 0 and column 0 are
+    /// zeroed explicitly and every other entry is written, so nothing a
+    /// previous image left in the table survives.
+    fn rebuild_mapped(&mut self, img: &GrayImage, f: impl Fn(f32) -> f64) {
         let (w, h) = img.dims();
         let tw = w + 1;
-        let mut table = vec![0.0f64; tw * (h + 1)];
+        let len = tw * (h + 1);
+        self.width = w;
+        self.height = h;
+        if self.table.capacity() < len {
+            // Growing would copy the old entries, which the pass
+            // overwrites anyway; a fresh zeroed allocation copies none.
+            self.table = vec![0.0; len];
+        } else {
+            self.table.resize(len, 0.0);
+        }
+        self.table[..tw].fill(0.0);
         for y in 1..=h {
-            let (head, tail) = table.split_at_mut(y * tw);
+            let (head, tail) = self.table.split_at_mut(y * tw);
             let prev = &head[(y - 1) * tw..];
             let cur = &mut tail[..tw];
+            cur[0] = 0.0;
             let mut carry = 0.0f64;
             for ((slot, &up), &p) in cur[1..].iter_mut().zip(&prev[1..]).zip(img.row(y - 1)) {
                 carry += f(p);
                 *slot = up + carry;
             }
-        }
-        Self {
-            width: w,
-            height: h,
-            table,
         }
     }
 

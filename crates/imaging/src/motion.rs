@@ -70,7 +70,9 @@ impl MotionDetector {
     }
 
     /// Observes a frame, returning `true` if motion is detected relative to
-    /// the previous frame. The first frame never reports motion.
+    /// the previous frame. The first frame never reports motion. Later
+    /// frames are copied into the held reference, so only the first frame
+    /// after [`MotionDetector::new`] or [`MotionDetector::reset`] allocates.
     ///
     /// # Panics
     ///
@@ -80,7 +82,10 @@ impl MotionDetector {
             None => false,
             Some(reference) => self.changed_fraction(reference, frame) > self.area_threshold,
         };
-        self.reference = Some(frame.clone());
+        match &mut self.reference {
+            Some(reference) => reference.pixels_mut().copy_from_slice(frame.pixels()),
+            None => self.reference = Some(frame.clone()),
+        }
         motion
     }
 

@@ -225,7 +225,9 @@ proptest! {
 
     /// The single-pass integral-image construction is bit-exact against
     /// the original two-pass bounds-checked formulation, at threads 1 and
-    /// 4 and on degenerate shapes.
+    /// 4 and on degenerate shapes, and so is one table of each kind
+    /// rebuilt in place: from empty, after a larger image (shrinking) and
+    /// after a 1×1 image (growing).
     #[test]
     fn integral_fast_path_bitwise_equal_reference(
         w in 1usize..48,
@@ -245,6 +247,31 @@ proptest! {
             for (fast, reference) in &pairs {
                 for (a, b) in fast.table().iter().zip(reference.table()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
+                }
+            }
+        }
+        let larger = Image::from_fn(w + 5, h + 3, |x, y| (x + 2 * y + 1) as f32 / 9.0);
+        let tiny = Image::new(1, 1, 0.75f32);
+        let mut plain = IntegralImage::default();
+        let mut squared = IntegralImage::default();
+        for prior in [None, Some(&larger), Some(&tiny)] {
+            if let Some(prior) = prior {
+                plain.rebuild(prior);
+                squared.rebuild_squared(prior);
+            }
+            plain.rebuild(&img);
+            squared.rebuild_squared(&img);
+            let pairs = [
+                (&plain, IntegralImage::new_reference(&img)),
+                (&squared, IntegralImage::squared_reference(&img)),
+            ];
+            for (rebuilt, reference) in &pairs {
+                prop_assert_eq!(
+                    (rebuilt.width(), rebuilt.height(), rebuilt.table().len()),
+                    (reference.width(), reference.height(), reference.table().len())
+                );
+                for (a, b) in rebuilt.table().iter().zip(reference.table()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "rebuilt after {:?}", prior.map(|p| p.dims()));
                 }
             }
         }

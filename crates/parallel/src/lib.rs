@@ -2,7 +2,7 @@
 //!
 //! A zero-dependency scoped worker pool (`std::thread::scope`) exposing
 //! order-preserving primitives over **independent** work units: VR camera
-//! pairs, Viola-Jones scan rows, NN batch rows and image rows. Every
+//! pairs, NN batch rows and image rows. Every
 //! primitive carries the same **determinism contract**:
 //!
 //! > The result is byte-identical regardless of the number of worker

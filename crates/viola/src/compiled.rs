@@ -1,4 +1,4 @@
-//! Per-scale compiled cascade geometry for the sliding-window scan.
+//! Per-scale compiled cascade stumps for the sliding-window scan.
 //!
 //! [`crate::feature::HaarFeature::evaluate`] re-derives every scaled cell
 //! size, rounded offset and rectangle corner — plus four bounds-checked
@@ -6,18 +6,22 @@
 //! window. At a fixed scale all of that geometry is constant: each
 //! rectangle corner is a fixed flat offset into the integral table
 //! relative to the window's base index `wy · tw + wx`. [`CompiledScale`]
-//! precomputes those offsets once per scale so the per-window inner loop
-//! is pure table reads and the exact floating-point combination the
-//! original formulation performs.
+//! precomputes those offsets once per scale for the stumps the stages
+//! actually read, in stage order, so the per-window inner loop is pure
+//! table reads and the exact floating-point combination the original
+//! formulation performs. Features of the pool that no stage references
+//! are never compiled.
 //!
-//! Windows close enough to the right/bottom image border that *any*
-//! feature's clamped footprint would shift (`evaluate`'s `.min()` clamp)
-//! fall back to [`crate::cascade::Cascade::classify_window`] verbatim, so
-//! every verdict — interior fast path or border fallback — is
-//! bit-identical to the uncompiled scan.
+//! Windows close enough to the right/bottom image border that any
+//! referenced feature's clamped footprint would shift (`evaluate`'s
+//! `.min()` clamp) fall back to
+//! [`crate::cascade::Cascade::classify_window`] verbatim, so every
+//! verdict — interior fast path or border fallback — is bit-identical to
+//! the uncompiled scan.
 
 use crate::cascade::{Cascade, WindowVerdict};
 use crate::feature::HaarKind;
+use crate::weak::WeakClassifier;
 use incam_imaging::integral::IntegralImage;
 
 /// One Haar rectangle as four flat integral-table corner offsets relative
@@ -25,17 +29,18 @@ use incam_imaging::integral::IntegralImage;
 /// `rect_sum`'s `d - b - c + a` combination.
 type RectOffsets = [usize; 4];
 
-/// A Haar feature compiled for one scale: flat rectangle corners plus the
-/// normalization area. The footprint extents that decide whether a window
-/// evaluates unclamped are folded into [`CompiledScale`]'s cascade-wide
-/// maxima.
-struct CompiledFeature {
+/// One weak classifier compiled for one scale: its feature's flat
+/// rectangle corners and normalization area, and the stump that
+/// thresholds the response.
+#[derive(Debug, Clone, Copy)]
+struct CompiledStump {
     kind: HaarKind,
     rects: [RectOffsets; 4],
     area: f64,
+    stump: WeakClassifier,
 }
 
-impl CompiledFeature {
+impl CompiledStump {
     /// Evaluates the feature at window base index `wb`, replicating
     /// `HaarFeature::evaluate`'s exact expression tree: each rectangle is
     /// `d - b - c + a`, the rectangles combine per kind, and the result is
@@ -59,17 +64,31 @@ impl CompiledFeature {
     }
 }
 
+/// One stage over the compiled stumps: it owns `stumps[previous end..end]`
+/// and passes when their vote reaches `threshold`.
+#[derive(Debug, Clone, Copy)]
+struct CompiledStage {
+    end: usize,
+    threshold: f64,
+}
+
 /// A cascade compiled for one pyramid scale over one integral-image pair.
+/// [`CompiledScale::compile`] refills the same buffers at every scale, so
+/// a scratch that keeps one compiles without allocating after its first
+/// scan; the default holds no buffers.
+#[derive(Debug, Default)]
 pub(crate) struct CompiledScale {
-    features: Vec<CompiledFeature>,
-    /// Window side at this scale.
+    /// Every stage's stumps, stage after stage, in `Stage::passes` order.
+    stumps: Vec<CompiledStump>,
+    stages: Vec<CompiledStage>,
+    /// Normalization stddev of each window of the row being classified.
+    stddevs: Vec<f64>,
+    scale: f64,
+    /// Window side and stride at this scale.
     side: usize,
+    stride: usize,
     /// Integral-table row stride.
     tw: usize,
-    /// Window-sum corner offsets: right, down, down-right.
-    o_r: usize,
-    o_d: usize,
-    o_dr: usize,
     /// Fast-path bounds: a window at `(wx, wy)` uses the compiled path
     /// iff `wx + max_ext_x <= width && wy + max_ext_y <= height`.
     max_ext_x: usize,
@@ -77,17 +96,30 @@ pub(crate) struct CompiledScale {
 }
 
 impl CompiledScale {
-    /// Compiles `cascade`'s feature table for windows of side
-    /// `base_window × scale` over integral images shaped like `ii`.
-    pub(crate) fn new(cascade: &Cascade, ii: &IntegralImage, scale: f64) -> Self {
+    /// Compiles `cascade`'s stumps for windows of side
+    /// `base_window × scale`, `stride` pixels apart, over integral images
+    /// shaped like `ii`. A feature two stumps share is compiled once for
+    /// each.
+    pub(crate) fn compile(
+        &mut self,
+        cascade: &Cascade,
+        ii: &IntegralImage,
+        scale: f64,
+        stride: usize,
+    ) {
         let tw = ii.table_width();
         let side = ((cascade.base_window() as f64) * scale).round() as usize;
-        let mut max_ext_x = side;
-        let mut max_ext_y = side;
-        let features = cascade
-            .features()
-            .iter()
-            .map(|f| {
+        self.scale = scale;
+        self.side = side;
+        self.stride = stride;
+        self.tw = tw;
+        self.max_ext_x = side;
+        self.max_ext_y = side;
+        self.stumps.clear();
+        self.stages.clear();
+        for stage in cascade.stages() {
+            for wc in &stage.weak {
+                let f = &cascade.features()[wc.feature];
                 // Same rounding pipeline as HaarFeature::evaluate.
                 let cw = (((f.cell_w as f64) * scale).floor() as usize).max(1);
                 let ch = (((f.cell_h as f64) * scale).floor() as usize).max(1);
@@ -96,8 +128,8 @@ impl CompiledScale {
                 let fh = ch * cells_y;
                 let rx = ((f.x as f64) * scale).round() as usize;
                 let ry = ((f.y as f64) * scale).round() as usize;
-                max_ext_x = max_ext_x.max(rx + fw);
-                max_ext_y = max_ext_y.max(ry + fh);
+                self.max_ext_x = self.max_ext_x.max(rx + fw);
+                self.max_ext_y = self.max_ext_y.max(ry + fh);
                 // Cell top-left positions in evaluate's evaluation order.
                 let cells: &[(usize, usize)] = match f.kind {
                     HaarKind::TwoRectHorizontal => &[(0, 0), (1, 0)],
@@ -117,83 +149,94 @@ impl CompiledScale {
                         (y + ch) * tw + (x + cw),
                     ];
                 }
-                CompiledFeature {
+                self.stumps.push(CompiledStump {
                     kind: f.kind,
                     rects,
                     area: (fw * fh) as f64,
-                }
-            })
-            .collect();
-        Self {
-            features,
-            side,
-            tw,
-            o_r: side,
-            o_d: side * tw,
-            o_dr: side * tw + side,
-            max_ext_x,
-            max_ext_y,
+                    stump: *wc,
+                });
+            }
+            self.stages.push(CompiledStage {
+                end: self.stumps.len(),
+                threshold: stage.threshold,
+            });
         }
     }
 
-    /// Whether the window at `(wx, wy)` evaluates every feature unclamped
-    /// (no `evaluate` border `.min()` fires), making the compiled path
-    /// exact.
-    #[inline]
-    fn interior(&self, ii: &IntegralImage, wx: usize, wy: usize) -> bool {
-        wx + self.max_ext_x <= ii.width() && wy + self.max_ext_y <= ii.height()
-    }
-
-    /// Classifies one window, dispatching to the compiled fast path for
-    /// interior windows and to the original
-    /// [`Cascade::classify_window`] near the border. Bit-identical to the
-    /// original either way.
-    pub(crate) fn classify_window(
-        &self,
+    /// Classifies every window of row `wy`, left to right, handing each
+    /// window's x and verdict to `visit`. Interior windows — those no
+    /// referenced feature's `evaluate` border `.min()` clamp would touch
+    /// — take the compiled stages; the rest fall back to the original
+    /// [`Cascade::classify_window`]. Bit-identical to the original either
+    /// way.
+    ///
+    /// The row's window stats come first, in one sweep with no
+    /// data-dependent branch: each sum is `rect_sum`'s `d - b - c + a`
+    /// over the right, down and down-right corners, followed by the
+    /// identical mean/variance expressions. The cascade's early exits
+    /// then no longer stall that arithmetic.
+    pub(crate) fn classify_row(
+        &mut self,
         cascade: &Cascade,
         ii: &IntegralImage,
         sq: &IntegralImage,
-        wx: usize,
         wy: usize,
-        scale: f64,
-    ) -> WindowVerdict {
-        if !self.interior(ii, wx, wy) {
-            return cascade.classify_window(ii, sq, wx, wy, scale);
+        mut visit: impl FnMut(usize, WindowVerdict),
+    ) {
+        let (t, st) = (ii.table(), sq.table());
+        let (side, tw) = (self.side, self.tw);
+        let (o_r, o_d) = (side, side * tw);
+        let o_dr = o_d + o_r;
+        let n = (side * side) as f64;
+        let windows = (ii.width() - side) / self.stride + 1;
+        let bases = (0..windows).map(|k| wy * tw + k * self.stride);
+        self.stddevs.clear();
+        self.stddevs.extend(bases.map(|wb| {
+            let sum = t[wb + o_dr] - t[wb + o_r] - t[wb + o_d] + t[wb];
+            let sq_sum = st[wb + o_dr] - st[wb + o_r] - st[wb + o_d] + st[wb];
+            let mean = sum / n;
+            let var = (sq_sum / n - mean * mean).max(0.0);
+            var.sqrt().max(1e-6)
+        }));
+        let row_interior = wy + self.max_ext_y <= ii.height();
+        for (k, &stddev) in self.stddevs.iter().enumerate() {
+            let wx = k * self.stride;
+            let verdict = if row_interior && wx + self.max_ext_x <= ii.width() {
+                self.classify_interior(t, wy * tw + wx, stddev)
+            } else {
+                cascade.classify_window(ii, sq, wx, wy, self.scale)
+            };
+            visit(wx, verdict);
         }
-        let t = ii.table();
-        let st = sq.table();
-        let wb = wy * self.tw + wx;
-        // window_stats over flat offsets: each sum is rect_sum's
-        // `d - b - c + a`, then the identical mean/variance expressions.
-        let n = (self.side * self.side) as f64;
-        let sum = t[wb + self.o_dr] - t[wb + self.o_r] - t[wb + self.o_d] + t[wb];
-        let sq_sum = st[wb + self.o_dr] - st[wb + self.o_r] - st[wb + self.o_d] + st[wb];
-        let mean = sum / n;
-        let var = (sq_sum / n - mean * mean).max(0.0);
-        let stddev = var.sqrt().max(1e-6);
+    }
 
-        let mut features_evaluated = 0;
-        for (si, stage) in cascade.stages().iter().enumerate() {
-            features_evaluated += stage.len();
+    /// The compiled stages on the interior window at base index `wb`:
+    /// the votes sum in the stage's order, the same `vote < threshold`
+    /// test exits, and the feature count is every stage's length up to
+    /// the exit, as `Cascade::classify_window` counts it.
+    #[inline]
+    fn classify_interior(&self, t: &[f64], wb: usize, stddev: f64) -> WindowVerdict {
+        let mut start = 0;
+        for (si, stage) in self.stages.iter().enumerate() {
             let mut vote = 0.0;
-            for wc in &stage.weak {
-                let response = self.features[wc.feature].evaluate(t, wb, stddev);
-                if wc.classify_response(response) {
-                    vote += wc.alpha;
+            for s in &self.stumps[start..stage.end] {
+                if s.stump.classify_response(s.evaluate(t, wb, stddev)) {
+                    vote += s.stump.alpha;
                 }
             }
             if vote < stage.threshold {
                 return WindowVerdict {
                     accepted: false,
                     stages_evaluated: si + 1,
-                    features_evaluated,
+                    features_evaluated: stage.end,
                 };
             }
+            start = stage.end;
         }
         WindowVerdict {
             accepted: true,
-            stages_evaluated: cascade.stages().len(),
-            features_evaluated,
+            stages_evaluated: self.stages.len(),
+            features_evaluated: self.stumps.len(),
         }
     }
 }

@@ -2,6 +2,12 @@
 //! pseudocode, with the two parameters Fig. 4c sweeps: the **scale
 //! factor** between pyramid levels and the **step size** (static pixels,
 //! or adaptive as a fraction of the current window).
+//!
+//! A scan sweeps each scale's window rows in one sequential loop over
+//! integral tables and compiled stumps held in a [`ScanScratch`], which a
+//! caller scanning frame after frame keeps ([`scan_with`]); raw hits are
+//! then grouped in one forward pass. [`scan_reference`] keeps the
+//! original per-feature evaluation as the oracle.
 
 use crate::cascade::Cascade;
 use crate::compiled::CompiledScale;
@@ -121,7 +127,21 @@ pub struct ScanResult {
     pub stats: ScanStats,
 }
 
+/// Buffers one scan rebuilds for every frame it is handed: the plain and
+/// squared integral tables, the per-scale compiled stumps and one row of
+/// window stats. Reusing one across scans (see [`scan_with`]) leaves a
+/// scan to allocate only for grouping its hits and for its result; the
+/// default allocates nothing.
+#[derive(Debug, Default)]
+pub struct ScanScratch {
+    ii: IntegralImage,
+    sq: IntegralImage,
+    compiled: CompiledScale,
+}
+
 /// Scans `image` with the cascade at every scale and position.
+///
+/// Equivalent to [`scan_with`] on a fresh [`ScanScratch`].
 ///
 /// # Panics
 ///
@@ -136,10 +156,28 @@ pub struct ScanResult {
 /// # // scanning needs a trained cascade; see `incam_viola::train`
 /// ```
 pub fn scan(cascade: &Cascade, image: &GrayImage, params: &ScanParams) -> ScanResult {
+    scan_with(cascade, image, params, &mut ScanScratch::default())
+}
+
+/// [`scan`] in caller-owned scratch: the integral tables are rebuilt and
+/// the stumps recompiled into `scratch`'s buffers, so a caller scanning
+/// frame after frame allocates them once. The result does not depend on
+/// what an earlier scan left in `scratch`.
+///
+/// # Panics
+///
+/// Panics if `scale_factor <= 1.0` or `min_scale < 1.0`.
+pub fn scan_with(
+    cascade: &Cascade,
+    image: &GrayImage,
+    params: &ScanParams,
+    scratch: &mut ScanScratch,
+) -> ScanResult {
     assert!(params.scale_factor > 1.0, "scale factor must exceed 1.0");
     assert!(params.min_scale >= 1.0, "min_scale must be >= 1.0");
-    let ii = IntegralImage::new(image);
-    let sq = IntegralImage::squared(image);
+    let ScanScratch { ii, sq, compiled } = scratch;
+    ii.rebuild(image);
+    sq.rebuild_squared(image);
     let (w, h) = image.dims();
     let base = cascade.base_window();
 
@@ -152,38 +190,23 @@ pub fn scan(cascade: &Cascade, image: &GrayImage, params: &ScanParams) -> ScanRe
         }
         result.stats.scales += 1;
         let stride = params.step.stride(side);
-        // All feature geometry at this scale is constant, so compile it
+        // All stump geometry at this scale is constant, so compile it
         // once into flat integral-table offsets; the per-window loop is
         // then pure table reads (border windows fall back to the original
         // per-feature evaluation, keeping every verdict bit-identical —
-        // see [`crate::compiled`]).
-        let compiled = CompiledScale::new(cascade, &ii, scale);
-        // Window rows at this scale are independent sweeps; evaluate them
-        // on the pool and stitch per-row hits back in row order, so the
-        // raw-detection order (scale-major, then y, then x) matches the
-        // sequential scan exactly. The work counters are integer sums and
-        // therefore order-insensitive.
-        let row_count = (h - side) / stride + 1;
-        let rows = incam_parallel::par_map(row_count, |r| {
-            let y = r * stride;
-            let mut hits = Vec::new();
-            let (mut windows, mut features) = (0u64, 0u64);
-            let mut x = 0;
-            while x + side <= w {
-                let verdict = compiled.classify_window(cascade, &ii, &sq, x, y, scale);
-                windows += 1;
-                features += verdict.features_evaluated as u64;
+        // see [`crate::compiled`]). Hits land in scale-major, then y,
+        // then x order.
+        compiled.compile(cascade, ii, scale, stride);
+        let mut y = 0;
+        while y + side <= h {
+            compiled.classify_row(cascade, ii, sq, y, |x, verdict| {
+                result.stats.windows += 1;
+                result.stats.features += verdict.features_evaluated as u64;
                 if verdict.accepted {
-                    hits.push(Detection { x, y, side });
+                    result.raw.push(Detection { x, y, side });
                 }
-                x += stride;
-            }
-            (hits, windows, features)
-        });
-        for (hits, windows, features) in rows {
-            result.raw.extend(hits);
-            result.stats.windows += windows;
-            result.stats.features += features;
+            });
+            y += stride;
         }
         scale *= params.scale_factor;
     }
@@ -242,14 +265,16 @@ pub fn scan_reference(cascade: &Cascade, image: &GrayImage, params: &ScanParams)
     finish_scan(result, params)
 }
 
-/// Shared tail of [`scan`]/[`scan_reference`]: cluster raw hits and rank
-/// detections by support.
+/// Shared tail of [`scan_with`]/[`scan_reference`]: cluster raw hits and
+/// rank detections by support.
 fn finish_scan(mut result: ScanResult, params: &ScanParams) -> ScanResult {
-    let mut ranked: Vec<(Detection, usize)> = group_clusters(&result.raw, 0.3)
-        .into_iter()
-        .filter(|group| group.len() >= params.min_neighbors.max(1))
-        .map(|group| (average_box(&group), group.len()))
-        .collect();
+    let min_support = params.min_neighbors.max(1);
+    let mut ranked: Vec<(Detection, usize)> = Vec::new();
+    group_clusters(&result.raw, 0.3, |members| {
+        if members.len() >= min_support {
+            ranked.push((average_box(members), members.len()));
+        }
+    });
     ranked.sort_by_key(|(_, support)| std::cmp::Reverse(*support));
     result.detections = ranked.iter().map(|(d, _)| *d).collect();
     result.support = ranked.iter().map(|(_, s)| *s).collect();
@@ -259,120 +284,62 @@ fn finish_scan(mut result: ScanResult, params: &ScanParams) -> ScanResult {
 /// Greedy overlap grouping: clusters raw windows with IoU above
 /// `iou_threshold` and emits each cluster's average box.
 pub fn group_detections(raw: &[Detection], iou_threshold: f64) -> Vec<Detection> {
-    group_clusters(raw, iou_threshold)
-        .into_iter()
-        .map(|group| average_box(&group))
-        .collect()
+    let mut grouped = Vec::new();
+    group_clusters(raw, iou_threshold, |members| {
+        grouped.push(average_box(members))
+    });
+    grouped
 }
 
-/// Greedy single-pass clustering, identical in output to the naive
-/// all-pairs sweep but without its O(n²) IoU evaluations.
+/// Greedy clustering in one forward sweep, handing each cluster's members
+/// to `emit` in seed order through one reused buffer.
 ///
-/// The original algorithm examined every remaining detection for every
-/// group. Here detections are sorted by left edge once; each group keeps
-/// a running bounding box and only ever enqueues candidates whose
-/// x-interval can intersect it (positive IoU with any member requires
-/// intersecting the members' bounding box). Candidates are drained in
-/// original index order, so every join decision sees exactly the group
-/// state the naive pass would have seen: a detection outside the box at
-/// the moment its index came up has zero IoU with every member and would
-/// have been rejected anyway. Detections far from every cluster are never
-/// touched after the sort.
-fn group_clusters(raw: &[Detection], iou_threshold: f64) -> Vec<Vec<&Detection>> {
-    let n = raw.len();
-    let mut assigned = vec![false; n];
-    let mut groups: Vec<Vec<&Detection>> = Vec::new();
-    if n == 0 {
-        return groups;
+/// Each unassigned hit, in index order, seeds a cluster; every later
+/// unassigned hit joins it if its IoU with any member reaches
+/// `iou_threshold`. A hit outside the cluster's running bounding box has
+/// IoU 0 with every member, so it is skipped before any IoU is computed.
+/// Members are tried newest first: `any` does not depend on the order,
+/// and a later hit most often overlaps the hit that joined just before
+/// it.
+fn group_clusters(raw: &[Detection], iou_threshold: f64, mut emit: impl FnMut(&[Detection])) {
+    if raw.is_empty() {
+        return;
     }
     if iou_threshold <= 0.0 {
         // Degenerate threshold: every pair "overlaps", one big cluster.
-        groups.push(raw.iter().collect());
-        return groups;
+        emit(raw);
+        return;
     }
-
-    // Detection indices sorted by left edge, for windowed candidate
-    // lookups. `max_side` bounds how far left of a window a still-
-    // intersecting detection can start.
-    let mut by_x: Vec<usize> = (0..n).collect();
-    by_x.sort_by_key(|&i| raw[i].x);
-    let xs: Vec<usize> = by_x.iter().map(|&i| raw[i].x).collect();
-    let max_side = raw.iter().map(|d| d.side).max().unwrap_or(0);
-
-    // `stamp[j] == i` marks j as already enqueued for the group seeded at
-    // i, so window re-expansions never enqueue a candidate twice.
-    let mut stamp = vec![usize::MAX; n];
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-        std::collections::BinaryHeap::new();
-
-    for (i, det) in raw.iter().enumerate() {
+    let mut assigned = vec![false; raw.len()];
+    let mut members = Vec::new();
+    for (i, seed) in raw.iter().enumerate() {
         if assigned[i] {
             continue;
         }
-        assigned[i] = true;
-        let mut group = vec![det];
-        // Group bounding box (union of member boxes).
-        let (mut bx0, mut bx1) = (det.x, det.x + det.side);
-        let (mut by0, mut by1) = (det.y, det.y + det.side);
-        heap.clear();
-        let enqueue = |lo: usize,
-                       hi: usize,
-                       heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
-                       stamp: &mut [usize],
-                       assigned: &[bool]| {
-            for &j in &by_x[lo..hi] {
-                if j > i && !assigned[j] && stamp[j] != i {
-                    stamp[j] = i;
-                    heap.push(std::cmp::Reverse(j));
-                }
-            }
-        };
-        let window = |bx0: usize, bx1: usize| -> (usize, usize) {
-            let lo = xs.partition_point(|&x| x + max_side <= bx0);
-            let hi = xs.partition_point(|&x| x < bx1);
-            (lo, hi.max(lo))
-        };
-        // Positions of `by_x` already enqueued for this group.
-        let (mut wlo, mut whi) = window(bx0, bx1);
-        enqueue(wlo, whi, &mut heap, &mut stamp, &assigned);
-        let mut cursor = i;
-        while let Some(std::cmp::Reverse(j)) = heap.pop() {
-            // A candidate enqueued by a later box expansion but indexed
-            // before the current pass position was already implicitly
-            // rejected (it had zero overlap when its turn came).
-            if j <= cursor || assigned[j] {
-                continue;
-            }
-            cursor = j;
-            let other = &raw[j];
+        members.clear();
+        members.push(*seed);
+        let (mut bx0, mut bx1) = (seed.x, seed.x + seed.side);
+        let (mut by0, mut by1) = (seed.y, seed.y + seed.side);
+        for (j, other) in raw.iter().enumerate().skip(i + 1) {
             let boxed = other.x < bx1
                 && other.x + other.side > bx0
                 && other.y < by1
                 && other.y + other.side > by0;
-            if boxed && group.iter().any(|g| g.iou(other) >= iou_threshold) {
+            if boxed && !assigned[j] && members.iter().rev().any(|m| m.iou(other) >= iou_threshold)
+            {
                 assigned[j] = true;
-                group.push(other);
+                members.push(*other);
                 bx0 = bx0.min(other.x);
                 bx1 = bx1.max(other.x + other.side);
                 by0 = by0.min(other.y);
                 by1 = by1.max(other.y + other.side);
-                let (nlo, nhi) = window(bx0, bx1);
-                if nlo < wlo {
-                    enqueue(nlo, wlo, &mut heap, &mut stamp, &assigned);
-                    wlo = nlo;
-                }
-                if nhi > whi {
-                    enqueue(whi, nhi, &mut heap, &mut stamp, &assigned);
-                    whi = nhi;
-                }
             }
         }
-        groups.push(group);
+        emit(&members);
     }
-    groups
 }
 
-fn average_box(group: &[&Detection]) -> Detection {
+fn average_box(group: &[Detection]) -> Detection {
     let n = group.len() as f64;
     Detection {
         x: (group.iter().map(|d| d.x).sum::<usize>() as f64 / n).round() as usize,
@@ -544,24 +511,55 @@ mod tests {
         groups
     }
 
+    /// A dense frame's raw hits in scan order: windows on the adaptive
+    /// grid of three adjacent 1.25× scales of a 160×120 frame, most of
+    /// those centred near one of three faces (two of them overlapping)
+    /// and a few stray ones.
+    fn dense_hits(rng: &mut incam_rng::rngs::StdRng) -> Vec<Detection> {
+        use incam_rng::Rng;
+        let faces = [(40usize, 50usize), (52, 58), (110, 40)];
+        let mut raw = Vec::new();
+        for side in [20usize, 25, 31] {
+            let stride = StepSize::Adaptive(0.1).stride(side);
+            for y in (0..=120 - side).step_by(stride) {
+                for x in (0..=160 - side).step_by(stride) {
+                    let (cx, cy) = (x + side / 2, y + side / 2);
+                    let near = faces
+                        .iter()
+                        .any(|&(fx, fy)| cx.abs_diff(fx) <= 8 && cy.abs_diff(fy) <= 8);
+                    if (near && rng.gen_bool(0.7)) || rng.gen_bool(0.01) {
+                        raw.push(Detection { x, y, side });
+                    }
+                }
+            }
+        }
+        raw
+    }
+
     #[test]
     fn grouping_matches_naive_reference() {
         use incam_rng::rngs::StdRng;
         use incam_rng::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        let raw: Vec<Detection> = (0..150)
+        let scattered: Vec<Detection> = (0..150)
             .map(|_| Detection {
                 x: rng.gen_range(0..160),
                 y: rng.gen_range(0..160),
                 side: rng.gen_range(5..40),
             })
             .collect();
-        for threshold in [0.05, 0.3, 0.6, 0.9] {
-            let fast: Vec<Vec<Detection>> = group_clusters(&raw, threshold)
-                .into_iter()
-                .map(|g| g.into_iter().copied().collect())
-                .collect();
-            assert_eq!(fast, naive_clusters(&raw, threshold), "t={threshold}");
+        let dense = dense_hits(&mut rng);
+        assert!(
+            (200..600).contains(&dense.len()),
+            "{} dense hits",
+            dense.len()
+        );
+        for raw in [&scattered, &dense] {
+            for threshold in [0.0, 0.05, 0.3, 0.6, 0.9] {
+                let mut fast: Vec<Vec<Detection>> = Vec::new();
+                group_clusters(raw, threshold, |members| fast.push(members.to_vec()));
+                assert_eq!(fast, naive_clusters(raw, threshold), "t={threshold}");
+            }
         }
     }
 

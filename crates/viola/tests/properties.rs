@@ -5,8 +5,19 @@ use incam_imaging::integral::IntegralImage;
 use incam_rng::prelude::*;
 use incam_viola::cascade::{Cascade, Stage};
 use incam_viola::feature::{feature_pool, HaarFeature, HaarKind};
-use incam_viola::scan::{group_detections, scan, scan_reference, Detection, ScanParams, StepSize};
+use incam_viola::scan::{
+    group_detections, scan, scan_reference, scan_with, Detection, ScanParams, ScanScratch, StepSize,
+};
 use incam_viola::weak::{alpha_for_error, fit_stump, WeakClassifier};
+use std::cell::RefCell;
+
+thread_local! {
+    /// One scan scratch that every case of
+    /// `compiled_scan_bitwise_equal_reference` reuses, so each scan starts
+    /// from integral tables and compiled stumps that an image of another
+    /// size, scanned at other scales, left behind.
+    static SCAN: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
+}
 
 proptest! {
     /// Every pooled feature fits its base window, and denser strides are
@@ -108,9 +119,14 @@ proptest! {
 
     /// The compiled flat-offset scan is bit-identical to the original
     /// per-feature coordinate-math scan — raw hits, grouped detections,
-    /// and work counters — across random images, scales, and strides,
-    /// with a cascade exercising every Haar kind (including features that
-    /// clamp at the image border).
+    /// and work counters — across random images, scales, and strides.
+    /// The cascade exercises every Haar kind; its pool holds features no
+    /// stage references, two of them with footprints past the base window
+    /// that would clamp at the border; one feature feeds two stumps; its
+    /// first stage votes three stumps of mixed polarity, one of them wider
+    /// than the base window, so on images narrower than that extent every
+    /// window takes the border fallback. Both a fresh scan and `scan_with`
+    /// on one scratch reused across every case must match.
     #[test]
     fn compiled_scan_bitwise_equal_reference(
         w in 8usize..48,
@@ -122,22 +138,44 @@ proptest! {
         let img = Image::from_fn(w, h, move |x, y| {
             (((x * 31 + y * 17 + seed as usize * 13) % 97) as f32) / 97.0
         });
-        let features: Vec<HaarFeature> = HaarKind::ALL
+        let mut features: Vec<HaarFeature> = HaarKind::ALL
             .iter()
             .enumerate()
             .map(|(i, &kind)| HaarFeature { kind, x: i % 3, y: i % 2, cell_w: 2, cell_h: 2 })
             .collect();
-        let stages = (0..features.len())
-            .map(|i| Stage {
-                weak: vec![WeakClassifier {
-                    feature: i,
-                    threshold: 0.001,
-                    polarity: if i % 2 == 0 { 1 } else { -1 },
-                    alpha: 1.0,
-                }],
-                threshold: 0.5,
-            })
-            .collect();
+        let kinds = features.len();
+        // 5: unreferenced, clamps in every window of an 8-pixel base.
+        features.push(HaarFeature { kind: HaarKind::FourRect, x: 6, y: 6, cell_w: 4, cell_h: 4 });
+        // 6: referenced, 10 pixels wide at base scale.
+        features.push(HaarFeature {
+            kind: HaarKind::TwoRectHorizontal,
+            x: 4,
+            y: 1,
+            cell_w: 3,
+            cell_h: 3,
+        });
+        // 7: unreferenced, 15 pixels tall at base scale.
+        features.push(HaarFeature {
+            kind: HaarKind::ThreeRectVertical,
+            x: 0,
+            y: 3,
+            cell_w: 5,
+            cell_h: 4,
+        });
+        let stump = |feature: usize, polarity: i8, alpha: f64| WeakClassifier {
+            feature,
+            threshold: 0.001,
+            polarity,
+            alpha,
+        };
+        let mut stages = vec![Stage {
+            weak: vec![stump(6, -1, 0.5), stump(0, 1, 0.7), stump(3, -1, 0.4)],
+            threshold: 0.6,
+        }];
+        stages.extend((0..kinds).map(|i| Stage {
+            weak: vec![stump(i, if i % 2 == 0 { 1 } else { -1 }, 1.0)],
+            threshold: 0.5,
+        }));
         let cascade = Cascade::new(features, stages, 8);
         let params = ScanParams {
             scale_factor,
@@ -145,11 +183,14 @@ proptest! {
             min_scale: 1.0,
             min_neighbors: 1,
         };
-        let fast = scan(&cascade, &img, &params);
         let reference = scan_reference(&cascade, &img, &params);
-        prop_assert_eq!(&fast.raw, &reference.raw);
-        prop_assert_eq!(&fast.detections, &reference.detections);
-        prop_assert_eq!(&fast.support, &reference.support);
-        prop_assert_eq!(fast.stats, reference.stats);
+        let fresh = scan(&cascade, &img, &params);
+        let reused = SCAN.with(|scratch| scan_with(&cascade, &img, &params, &mut scratch.borrow_mut()));
+        for fast in [&fresh, &reused] {
+            prop_assert_eq!(&fast.raw, &reference.raw);
+            prop_assert_eq!(&fast.detections, &reference.detections);
+            prop_assert_eq!(&fast.support, &reference.support);
+            prop_assert_eq!(fast.stats, reference.stats);
+        }
     }
 }

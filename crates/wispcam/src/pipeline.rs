@@ -22,7 +22,7 @@ use incam_nn::eval::Confusion;
 use incam_nn::quant::ForwardScratch;
 use incam_snnap::sim::SnnapAccelerator;
 use incam_viola::hw::ViolaHwModel;
-use incam_viola::scan::{scan, Detection, ScanParams};
+use incam_viola::scan::{scan_with, Detection, ScanParams, ScanScratch};
 use incam_viola::train::TrainedCascade;
 
 /// Which hardware executes the pipeline's compute blocks.
@@ -391,6 +391,7 @@ impl FaPipeline {
         // every frame clears and refills the one candidate list
         let mut candidates = Vec::new();
         let mut scratch = WindowScratch::default();
+        let mut scan_scratch = ScanScratch::default();
         self.motion.reset();
 
         for frame in frames {
@@ -431,7 +432,7 @@ impl FaPipeline {
                         .as_ref()
                         .expect("validated at construction") // incam-lint: allow(fallible-unwrap) — validated by the builder before the pipeline is handed out
                         .cascade;
-                    let result = scan(cascade, img, &self.scan_params);
+                    let result = scan_with(cascade, img, &self.scan_params, &mut scan_scratch);
                     scanned_frames += 1;
                     e_detect += match &self.config.substrate {
                         Substrate::Accelerators => {
