@@ -1,10 +1,11 @@
 //! Before/after microbenchmarks for the hot-kernel speed pass: each of
-//! the eight reworked kernels (separable convolution, integral image,
+//! the reworked kernels (separable convolution, integral image,
 //! bilateral grid pipeline, Viola-Jones scan, batched and packed MLP
-//! forward, stereo block matching, FA window scoring, verify alignment)
-//! is measured against the original formulation it replaced, which every
-//! crate keeps as a `*_reference` oracle. All pairs compute bit-identical
-//! outputs — only the wall clock differs.
+//! forward, stereo block matching, FA window scoring, verify alignment,
+//! VR pre-processing and stitching) is measured against the original
+//! formulation it replaced, which every crate keeps as a `*_reference`
+//! oracle (B1's is the two-step `rgb_to_gray(&demosaic_bilinear(..))`).
+//! All pairs compute bit-identical outputs — only the wall clock differs.
 //!
 //! Runs pinned to one worker thread: single-thread throughput is the
 //! quantity the rework targets (pool scaling is the separate `parallel`
@@ -17,6 +18,7 @@ use incam_auth::service::{Probe, ServiceConfig};
 use incam_bench::experiments::verify::{canonical_load, canonical_plan};
 use incam_bilateral::grid::{BilateralGrid, GridParams};
 use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
+use incam_imaging::color::{demosaic_bilinear, rgb_to_gray};
 use incam_imaging::convolve::{convolve_separable, convolve_separable_reference, gaussian_kernel};
 use incam_imaging::image::GrayImage;
 use incam_imaging::integral::IntegralImage;
@@ -32,6 +34,9 @@ use incam_rng::{Rng, SeedableRng};
 use incam_snnap::{SnnapAccelerator, SnnapConfig};
 use incam_viola::scan::{scan_reference, scan_with, ScanParams, ScanScratch, StepSize};
 use incam_viola::train::{train_cascade, CascadeTrainConfig};
+use incam_vr::blocks::preprocess::preprocess;
+use incam_vr::blocks::stitch::{stitch, stitch_reference, PairDepth};
+use incam_vr::frame::to_bayer_raw;
 use incam_wispcam::pipeline::FaPipelineConfig;
 use std::hint::black_box;
 
@@ -315,6 +320,38 @@ fn bench_verify_align(c: &mut Criterion) {
     group.finish();
 }
 
+/// VR blocks B1 and B4 at the rig's per-camera size: demosaic straight to
+/// luma over three raw rows vs demosaic to RGB then convert, and the
+/// 16-segment stitch over row slices (feather and blend weight once per
+/// column) vs the per-pixel accumulate-and-sample stitch.
+fn bench_vr(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(25);
+    let raw = to_bayer_raw(&stereo_scene(128, 96, 8, 4, &mut rng).right);
+    let pairs: Vec<PairDepth> = (0..16)
+        .map(|_| {
+            let scene = stereo_scene(128, 96, 8, 4, &mut rng);
+            PairDepth {
+                reference: scene.right,
+                disparity: scene.disparity,
+            }
+        })
+        .collect();
+    let mut group = c.benchmark_group("vr");
+    group.bench_function(BenchmarkId::new("preprocess_128x96", "after"), |b| {
+        single_thread(|| b.iter(|| preprocess(black_box(&raw))));
+    });
+    group.bench_function(BenchmarkId::new("preprocess_128x96", "before"), |b| {
+        single_thread(|| b.iter(|| rgb_to_gray(&demosaic_bilinear(black_box(&raw)))));
+    });
+    group.bench_function(BenchmarkId::new("stitch_16x128x96", "after"), |b| {
+        single_thread(|| b.iter(|| stitch(black_box(&pairs), 16, 0.5)));
+    });
+    group.bench_function(BenchmarkId::new("stitch_16x128x96", "before"), |b| {
+        single_thread(|| b.iter(|| stitch_reference(black_box(&pairs), 16, 0.5)));
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_convolve,
@@ -324,6 +361,7 @@ criterion_group!(
     bench_nn,
     bench_block_match,
     bench_fa_window,
-    bench_verify_align
+    bench_verify_align,
+    bench_vr
 );
 criterion_main!(kernels);

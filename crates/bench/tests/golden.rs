@@ -308,3 +308,50 @@ mod verify_golden {
         assert_eq!(a, b);
     }
 }
+
+mod panorama_golden {
+    //! Pins the functional VR pipeline's stereo panorama (B1 → B4 on a
+    //! 16-camera rig at 128×96, max disparity 8) to an exact digest of
+    //! both eyes' pixel bits. Every kernel on the path is bit-exact by
+    //! construction and the pair fan-out returns results in rig order,
+    //! so the digest holds at any worker count — any drift means a block
+    //! changed its arithmetic, and the change must be acknowledged here.
+
+    use incam_rng::rngs::StdRng;
+    use incam_rng::Digest;
+    use incam_rng::SeedableRng;
+    use incam_vr::blocks::run_functional_pipeline;
+    use incam_vr::frame::synthetic_capture;
+    use incam_vr::rig::CameraRig;
+
+    use super::REPRO_SEED;
+
+    fn panorama_digest() -> u64 {
+        let rig = CameraRig::scaled(16, 128, 96);
+        let capture = synthetic_capture(&rig, 8, &mut StdRng::seed_from_u64(REPRO_SEED));
+        let pano = run_functional_pipeline(&capture);
+        let mut d = Digest::new();
+        for eye in [&pano.left, &pano.right] {
+            let (w, h) = eye.dims();
+            d.write_u64(w as u64);
+            d.write_u64(h as u64);
+            for &p in eye.pixels() {
+                d.write_f32(p);
+            }
+        }
+        d.finish()
+    }
+
+    #[test]
+    fn rig_panorama_matches_golden_digest_at_one_and_four_threads() {
+        for threads in [1usize, 4] {
+            incam_parallel::set_thread_override(Some(threads));
+            let got = panorama_digest();
+            incam_parallel::set_thread_override(None);
+            assert_eq!(
+                got, 0x6415_8fda_6649_3aa6,
+                "threads={threads}: panorama digest {got:#018x}"
+            );
+        }
+    }
+}

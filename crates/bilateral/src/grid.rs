@@ -11,8 +11,12 @@
 //!
 //! The splat (a scatter into shared vertices) and the fused blur (a
 //! rolling ring of slabs) are sequential sweeps; the slice gathers
-//! independent pixel rows on the [`incam_parallel`] pool. Each fast path
-//! is bit-equal to its `*_reference` formulation.
+//! independent pixel rows on the [`incam_parallel`] pool. Splat and slice
+//! derive each guide row's intensity taps in one pass before the
+//! per-pixel tap loop, and the blur's ring and slab buffers are allocated
+//! once per call — or once per solve, when the bilateral-space solver
+//! blurs its state's values alone. Each fast path is bit-equal to its
+//! `*_reference` formulation.
 
 use incam_imaging::image::GrayImage;
 
@@ -122,10 +126,12 @@ impl BilateralGrid {
     ///
     /// Fast path: the spatial tap cells and weights depend only on the
     /// pixel column/row, so they are precomputed per coordinate
-    /// (`spatial_taps`); the inner loop only derives the intensity taps
-    /// per pixel. Tap order (`dz, dy, dx`), the `(wx·wy)·wz` association,
-    /// and the zero-weight skips match [`BilateralGrid::splat_reference`]
-    /// exactly, so the accumulators are bit-equal to it.
+    /// (`spatial_taps`), and each row's intensity taps are derived in one
+    /// pass over the guide row before its pixels scatter
+    /// (`intensity_taps`). Tap order (`dz, dy, dx`), the `(wx·wy)·wz`
+    /// association, and the zero-weight skips match
+    /// [`BilateralGrid::splat_reference`] exactly, so the accumulators are
+    /// bit-equal to it.
     ///
     /// # Panics
     ///
@@ -140,36 +146,38 @@ impl BilateralGrid {
         let xt = spatial_taps(guide.width(), params.sigma_spatial, gw);
         let yt = spatial_taps(guide.height(), params.sigma_spatial, gh);
         let (grid_values, grid_weights) = (&mut self.values[..], &mut self.weights[..]);
+        let (mut z0s, mut tzs) = ([0usize; TAP_CHUNK], [0.0f32; TAP_CHUNK]);
         for (y, &(cy0, cy1, wy0, wy1)) in yt.iter().enumerate() {
             let grow = guide.row(y);
             let vrow = values.row(y);
             let crow = confidence.map(|c| c.row(y));
-            for x in 0..guide.width() {
-                let v = vrow[x];
-                let conf = crow.map_or(1.0, |r| r[x]);
-                if conf <= 0.0 {
-                    continue;
-                }
-                let fz = grow[x].clamp(0.0, 1.0) / params.sigma_range;
-                let z0 = fz.floor() as usize;
-                let tz = fz - z0 as f32;
-                let (cx0, cx1, wx0, wx1) = xt[x];
-                for dz in 0..2usize {
-                    let wz = if dz == 0 { 1.0 - tz } else { tz };
-                    let cz = (z0 + dz).min(gz - 1);
-                    for (cy, wy) in [(cy0, wy0), (cy1, wy1)] {
-                        let rb = (cz * gh + cy) * gw;
-                        for (cx, wx) in [(cx0, wx0), (cx1, wx1)] {
-                            let w = wx * wy * wz;
-                            if w <= 0.0 {
-                                continue;
+            for start in (0..grow.len()).step_by(TAP_CHUNK) {
+                let end = (start + TAP_CHUNK).min(grow.len());
+                intensity_taps(&grow[start..end], params.sigma_range, &mut z0s, &mut tzs);
+                for (x, (&z0, &tz)) in (start..end).zip(z0s.iter().zip(&tzs)) {
+                    let v = vrow[x];
+                    let conf = crow.map_or(1.0, |r| r[x]);
+                    if conf <= 0.0 {
+                        continue;
+                    }
+                    let (cx0, cx1, wx0, wx1) = xt[x];
+                    for dz in 0..2usize {
+                        let wz = if dz == 0 { 1.0 - tz } else { tz };
+                        let cz = (z0 + dz).min(gz - 1);
+                        for (cy, wy) in [(cy0, wy0), (cy1, wy1)] {
+                            let rb = (cz * gh + cy) * gw;
+                            for (cx, wx) in [(cx0, wx0), (cx1, wx1)] {
+                                let w = wx * wy * wz;
+                                if w <= 0.0 {
+                                    continue;
+                                }
+                                let tap_w = w * conf;
+                                if tap_w <= 0.0 {
+                                    continue;
+                                }
+                                grid_values[rb + cx] += tap_w * v;
+                                grid_weights[rb + cx] += tap_w;
                             }
-                            let tap_w = w * conf;
-                            if tap_w <= 0.0 {
-                                continue;
-                            }
-                            grid_values[rb + cx] += tap_w * v;
-                            grid_weights[rb + cx] += tap_w;
                         }
                     }
                 }
@@ -223,21 +231,30 @@ impl BilateralGrid {
     /// sweep over the grid (`blur_xyz_into`), which streams the intensity
     /// slabs keeping a rolling ring of the three xy-blurred slabs the
     /// z-pass needs, so each iteration materializes the grid once per
-    /// array instead of three times. Every element-wise `(a + 2b + c)/4`
-    /// expression is identical to the per-axis formulation (kept as
-    /// [`BilateralGrid::blur_reference`]), so the result is
-    /// byte-identical to it.
+    /// array instead of three times. The output grid, the ring and the
+    /// x-pass slab are allocated once per call (`BlurScratch`). Every
+    /// element-wise `(a + 2b + c)/4` expression is identical to the
+    /// per-axis formulation (kept as [`BilateralGrid::blur_reference`]),
+    /// so the result is byte-identical to it.
     pub fn blur(&mut self, iterations: usize) {
         if iterations == 0 {
             return;
         }
-        let dims = (self.gw, self.gh, self.gz);
-        let mut scratch = vec![0.0f32; self.values.len()];
+        let mut scratch = BlurScratch::new(self.dims());
         for _ in 0..iterations {
-            blur_xyz_into(dims, &self.values, &mut scratch);
-            core::mem::swap(&mut self.values, &mut scratch);
-            blur_xyz_into(dims, &self.weights, &mut scratch);
-            core::mem::swap(&mut self.weights, &mut scratch);
+            scratch.blur_once(&mut self.values);
+            scratch.blur_once(&mut self.weights);
+        }
+    }
+
+    /// Blurs the values alone, `iterations` times, through the caller's
+    /// `scratch` — for a grid whose weights are 1 at every vertex, which
+    /// the blur maps to `(1 + 2·1 + 1)/4 = 1` exactly, so [`Self::blur`]
+    /// would leave them bit-for-bit unchanged. The bilateral-space
+    /// solver's state is such a grid.
+    pub(crate) fn blur_values(&mut self, iterations: usize, scratch: &mut BlurScratch) {
+        for _ in 0..iterations {
+            scratch.blur_once(&mut self.values);
         }
     }
 
@@ -266,9 +283,10 @@ impl BilateralGrid {
     /// Pixels are independent gathers, evaluated row-parallel.
     ///
     /// Fast path: spatial tap cells/weights are precomputed per pixel
-    /// coordinate (`spatial_taps`); only the intensity taps are derived
-    /// per pixel. Tap order and the `(wx·wy)·wz` association match the
-    /// per-pixel formulation (kept as
+    /// coordinate (`spatial_taps`), and each row's intensity taps are
+    /// derived in one pass over the guide row, a stack chunk at a time
+    /// (`intensity_taps`). Tap order and the `(wx·wy)·wz` association
+    /// match the per-pixel formulation (kept as
     /// [`BilateralGrid::slice_reference`]), so outputs are bit-equal.
     pub fn slice(&self, guide: &GrayImage) -> GrayImage {
         let (w, h) = guide.dims();
@@ -277,25 +295,32 @@ impl BilateralGrid {
         let sigma_range = self.params.sigma_range;
         let data = incam_parallel::par_map_rows(h, w, |y, dst| {
             let (cy0, cy1, wy0, wy1) = yt[y];
-            for ((out, &g), &(cx0, cx1, wx0, wx1)) in dst.iter_mut().zip(guide.row(y)).zip(&xt) {
-                let fz = g.clamp(0.0, 1.0) / sigma_range;
-                let z0 = fz.floor() as usize;
-                let tz = fz - z0 as f32;
-                let mut num = 0.0f32;
-                let mut den = 0.0f32;
-                for dz in 0..2usize {
-                    let wz = if dz == 0 { 1.0 - tz } else { tz };
-                    let zb = (z0 + dz).min(self.gz - 1) * self.gh;
-                    for (cy, wy) in [(cy0, wy0), (cy1, wy1)] {
-                        let rb = (zb + cy) * self.gw;
-                        for (cx, wx) in [(cx0, wx0), (cx1, wx1)] {
-                            let tw = wx * wy * wz;
-                            num += tw * self.values[rb + cx];
-                            den += tw * self.weights[rb + cx];
+            let (mut z0s, mut tzs) = ([0usize; TAP_CHUNK], [0.0f32; TAP_CHUNK]);
+            for ((dst, grow), xt) in dst
+                .chunks_mut(TAP_CHUNK)
+                .zip(guide.row(y).chunks(TAP_CHUNK))
+                .zip(xt.chunks(TAP_CHUNK))
+            {
+                intensity_taps(grow, sigma_range, &mut z0s, &mut tzs);
+                for ((out, (&z0, &tz)), &(cx0, cx1, wx0, wx1)) in
+                    dst.iter_mut().zip(z0s.iter().zip(&tzs)).zip(xt)
+                {
+                    let mut num = 0.0f32;
+                    let mut den = 0.0f32;
+                    for dz in 0..2usize {
+                        let wz = if dz == 0 { 1.0 - tz } else { tz };
+                        let zb = (z0 + dz).min(self.gz - 1) * self.gh;
+                        for (cy, wy) in [(cy0, wy0), (cy1, wy1)] {
+                            let rb = (zb + cy) * self.gw;
+                            for (cx, wx) in [(cx0, wx0), (cx1, wx1)] {
+                                let tw = wx * wy * wz;
+                                num += tw * self.values[rb + cx];
+                                den += tw * self.weights[rb + cx];
+                            }
                         }
                     }
+                    *out = if den > 1e-8 { num / den } else { 0.0 };
                 }
-                *out = if den > 1e-8 { num / den } else { 0.0 };
             }
         });
         GrayImage::from_vec(w, h, data)
@@ -417,6 +442,62 @@ fn spatial_taps(n: usize, sigma: f32, gmax: usize) -> Vec<(usize, usize, f32, f3
         .collect()
 }
 
+/// Pixels per intensity-tap pass: splat and slice derive a row's
+/// intensity taps this many pixels at a time, into stack buffers.
+const TAP_CHUNK: usize = 64;
+
+/// Derives the intensity taps of a run of guide pixels in one pass: the
+/// lower intensity cell `z0` (unclamped) and the fraction `tz` above it,
+/// with the per-pixel expressions of [`splat_taps`] and
+/// [`BilateralGrid::coords`]. `fz` is never negative (or is NaN, which
+/// both map to cell 0), so truncating it with `as usize` gives the cell
+/// `floor()` does, and the pass vectorizes without a libm call per pixel.
+fn intensity_taps(guide: &[f32], sigma_range: f32, z0: &mut [usize], tz: &mut [f32]) {
+    for ((z0, tz), &g) in z0.iter_mut().zip(tz).zip(guide) {
+        let fz = g.clamp(0.0, 1.0) / sigma_range;
+        let cell = fz as usize;
+        *z0 = cell;
+        *tz = fz - cell as f32;
+    }
+}
+
+/// Reusable buffers of the fused grid blur: the output grid the sweep
+/// writes before it is swapped in, the three-slab ring of xy-blurred
+/// slabs and the x-pass slab. [`BilateralGrid::blur`] allocates one per
+/// call; the bilateral-space solver keeps one per solve.
+#[derive(Debug)]
+pub(crate) struct BlurScratch {
+    dims: (usize, usize, usize),
+    next: Vec<f32>,
+    ring: Vec<f32>,
+    xtmp: Vec<f32>,
+}
+
+impl BlurScratch {
+    /// Buffers for blurring grids of `dims` `(x, y, intensity)`.
+    pub(crate) fn new(dims: (usize, usize, usize)) -> Self {
+        let slab = dims.0 * dims.1;
+        Self {
+            dims,
+            next: vec![0.0; slab * dims.2],
+            ring: vec![0.0; 3 * slab],
+            xtmp: vec![0.0; slab],
+        }
+    }
+
+    /// One fused x→y→z blur of `data`, which ends up holding the result.
+    fn blur_once(&mut self, data: &mut Vec<f32>) {
+        blur_xyz_into(
+            self.dims,
+            data,
+            &mut self.next,
+            &mut self.ring,
+            &mut self.xtmp,
+        );
+        core::mem::swap(data, &mut self.next);
+    }
+}
+
 /// One `[1, 2, 1]/4` replicate-border blur of a contiguous row: clamped
 /// first/last element around an interior fast path over 3-wide windows.
 /// Element-wise identical to the clamped-index formulation in
@@ -456,30 +537,37 @@ fn blur_slab_xy(src: &[f32], xtmp: &mut [f32], out: &mut [f32], nx: usize, ny: u
 /// One fused x→y→z `[1, 2, 1]/4` blur iteration over the whole grid,
 /// `src` → `dst`. One sweep over the intensity slabs keeps a rolling ring
 /// of the three xy-blurred slabs the z-pass of the current output slab
-/// needs, so the grid is materialized once instead of once per axis.
+/// needs, so the grid is materialized once instead of once per axis. The
+/// caller owns the ring (three slabs) and the x-pass slab `xtmp`.
 ///
 /// Because every element-wise `(a + 2b + c)/4` expression — x pass, y
 /// pass, z pass — is identical to the corresponding [`blur_axis_into`]
 /// pass, the result is byte-identical to running the three axis passes
 /// over the full grid.
-fn blur_xyz_into((nx, ny, nz): (usize, usize, usize), src: &[f32], dst: &mut [f32]) {
+fn blur_xyz_into(
+    (nx, ny, nz): (usize, usize, usize),
+    src: &[f32],
+    dst: &mut [f32],
+    ring: &mut [f32],
+    xtmp: &mut [f32],
+) {
     debug_assert_eq!(src.len(), nx * ny * nz);
     debug_assert_eq!(dst.len(), src.len());
     let slab = nx * ny;
+    debug_assert_eq!(ring.len(), 3 * slab);
+    debug_assert_eq!(xtmp.len(), slab);
     // Ring slot `z % 3` holds the xy-blurred slab `z`; the z-pass for
     // output slab z reads slabs [z-1, z+1] clamped — at most three
     // consecutive slabs, so slots never collide. The sweep stays one
     // slab ahead of the output.
-    let mut ring = vec![0.0f32; 3 * slab];
-    let mut xtmp = vec![0.0f32; slab];
-    blur_slab_xy(&src[..slab], &mut xtmp, &mut ring[..slab], nx, ny);
+    blur_slab_xy(&src[..slab], xtmp, &mut ring[..slab], nx, ny);
     for (z, oslab) in dst.chunks_mut(slab).enumerate() {
         let zp = (z + 1).min(nz - 1);
         if zp > z {
             let slot = (zp % 3) * slab;
             blur_slab_xy(
                 &src[zp * slab..(zp + 1) * slab],
-                &mut xtmp,
+                xtmp,
                 &mut ring[slot..slot + slab],
                 nx,
                 ny,

@@ -9,8 +9,16 @@
 //! `v ← (w·b + λ·blur(v)) / (w + λ)`,
 //! which is exactly the "millions of blurs applied to the bilateral grid"
 //! the paper maps onto streaming FPGA compute units (§IV-B).
+//!
+//! Only that arithmetic runs: the data term is read from the splatted
+//! grid in place, the state carries weight 1 at every vertex (which the
+//! blur maps to exactly 1), so each iteration blurs the state's values
+//! alone through one scratch kept for the whole solve, and the Jacobi
+//! update runs in place. The refined map is bit-equal to the chain of
+//! per-tap splat, homogeneous blur of values and weights, weight reset
+//! and per-pixel slice that the grid's `*_reference` kernels spell out.
 
-use crate::grid::{BilateralGrid, GridParams};
+use crate::grid::{BilateralGrid, BlurScratch, GridParams};
 use incam_imaging::image::GrayImage;
 
 /// Solver configuration.
@@ -63,38 +71,33 @@ pub fn refine_in_bilateral_space(
     assert!(solver.iterations > 0, "need at least one iteration");
     assert_eq!(guide.dims(), estimate.dims(), "guide/estimate must match");
 
-    // data term: splat b (disparity) and w (confidence)
+    // data term: splat b (disparity) and w (confidence), read in place
     let mut data = BilateralGrid::new(guide.width(), guide.height(), grid_params);
     data.splat(guide, estimate, confidence);
     let n = data.vertex_count();
-    let (b_times_w, w) = {
-        let (values, weights) = data.raw();
-        (values.to_vec(), weights.to_vec())
-    };
+    let (b_times_w, w) = data.raw();
 
     // iterate: v <- (w*b + lambda * blur(v)) / (w + lambda)
-    // `state` reuses a grid purely for its blur kernel; its weights carry
-    // a constant 1 so slicing normalizes correctly afterwards.
+    // `state` reuses a grid for its blur and slice kernels; its weights
+    // carry a constant 1 so slicing normalizes correctly afterwards. A
+    // blur maps unit weights to `(1 + 2·1 + 1)/4 = 1` exactly, so only
+    // the values are blurred, through one scratch for the whole solve.
     let mut state = BilateralGrid::new(guide.width(), guide.height(), grid_params);
     {
         let (values, weights) = state.raw_mut();
-        for i in 0..n {
+        for (((v, unit), &bw), &wi) in values.iter_mut().zip(weights).zip(b_times_w).zip(w) {
             // initialize with the normalized data estimate where observed
-            values[i] = if w[i] > 1e-8 {
-                b_times_w[i] / w[i]
-            } else {
-                0.0
-            };
-            weights[i] = 1.0;
+            *v = if wi > 1e-8 { bw / wi } else { 0.0 };
+            *unit = 1.0;
         }
     }
     let lambda = solver.lambda.max(0.0);
+    let mut scratch = BlurScratch::new(state.dims());
     for _ in 0..solver.iterations {
-        state.blur(solver.blur_per_iteration);
-        let (values, weights) = state.raw_mut();
-        for i in 0..n {
-            values[i] = (b_times_w[i] + lambda * values[i]) / (w[i] + lambda);
-            weights[i] = 1.0;
+        state.blur_values(solver.blur_per_iteration, &mut scratch);
+        let (values, _) = state.raw_mut();
+        for ((v, &bw), &wi) in values.iter_mut().zip(b_times_w).zip(w) {
+            *v = (bw + lambda * *v) / (wi + lambda);
         }
     }
 

@@ -2,7 +2,9 @@
 
 use incam_bilateral::grid::{BilateralGrid, GridParams};
 use incam_bilateral::signal::{bilateral_filter_1d, moving_average};
-use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
+use incam_bilateral::stereo::{
+    block_match, block_match_reference, refine_in_bilateral_space, MatchParams, SolverParams,
+};
 use incam_imaging::image::{GrayImage, Image};
 use incam_rng::prelude::*;
 
@@ -12,6 +14,48 @@ fn arbitrary_guide() -> impl Strategy<Value = GrayImage> {
             (((x * 13 + y * 7 + seed as usize * 3) % 53) as f32) / 53.0
         })
     })
+}
+
+/// The bilateral-space solver as a chain of the reference kernels: the
+/// per-tap splat of the data term (copied out), a unit-weight state
+/// blurred — values and weights — by the per-axis blur each iteration,
+/// the Jacobi update with its weight reset, and the per-pixel slice.
+fn refine_reference(
+    guide: &GrayImage,
+    estimate: &GrayImage,
+    confidence: Option<&GrayImage>,
+    params: GridParams,
+    solver: &SolverParams,
+) -> GrayImage {
+    let (w, h) = guide.dims();
+    let mut data = BilateralGrid::new(w, h, params);
+    data.splat_reference(guide, estimate, confidence);
+    let (b_times_w, weight) = {
+        let (values, weights) = data.raw();
+        (values.to_vec(), weights.to_vec())
+    };
+    let mut state = BilateralGrid::new(w, h, params);
+    {
+        let (values, weights) = state.raw_mut();
+        for i in 0..values.len() {
+            values[i] = if weight[i] > 1e-8 {
+                b_times_w[i] / weight[i]
+            } else {
+                0.0
+            };
+            weights[i] = 1.0;
+        }
+    }
+    let lambda = solver.lambda.max(0.0);
+    for _ in 0..solver.iterations {
+        state.blur_reference(solver.blur_per_iteration);
+        let (values, weights) = state.raw_mut();
+        for i in 0..values.len() {
+            values[i] = (b_times_w[i] + lambda * values[i]) / (weight[i] + lambda);
+            weights[i] = 1.0;
+        }
+    }
+    state.slice_reference(guide)
 }
 
 proptest! {
@@ -101,9 +145,12 @@ proptest! {
     }
 
     /// The tap-table splat, fused xyz blur, and tap-table slice are each
-    /// bit-exact against the original per-tap formulations, across random
-    /// image sizes (including 1×N / N×1), grid resolutions, confidence
-    /// maps, and threads 1 and 4.
+    /// bit-exact against the original per-tap formulations, and so is the
+    /// bilateral-space solver (values-only blur in one scratch) against
+    /// the per-iteration chain it replaced, built here from the
+    /// reference kernels. Random image sizes (including 1×N / N×1), grid
+    /// resolutions, λ (zero and clamped-negative included), 1–4 solver
+    /// iterations of 0–3 blurs, confidence maps, and threads 1 and 4.
     #[test]
     fn grid_fast_paths_bitwise_equal_reference(
         w in 1usize..40,
@@ -113,7 +160,9 @@ proptest! {
         iterations in 0usize..4,
         with_conf in any::<bool>(),
         seed in 0u64..5000,
+        solver_knobs in (-0.5f32..4.0, any::<bool>(), 1usize..5, 0usize..4),
     ) {
+        let (lambda, zero_lambda, solver_iterations, blur_per_iteration) = solver_knobs;
         let guide = Image::from_fn(w, h, move |x, y| {
             (((x * 13 + y * 7 + seed as usize * 3) % 53) as f32) / 53.0
         });
@@ -123,6 +172,13 @@ proptest! {
         let conf = Image::from_fn(w, h, |x, y| ((x + y) % 4) as f32 / 3.0);
         let conf = with_conf.then_some(&conf);
         let p = GridParams::new(sigma_s, sigma_r);
+        let solver = SolverParams {
+            lambda: if zero_lambda { 0.0 } else { lambda },
+            iterations: solver_iterations,
+            blur_per_iteration,
+        };
+        let disparity = values.map(|v| v * 8.0);
+        let refined_reference = refine_reference(&guide, &disparity, conf, p, &solver);
         for threads in [1usize, 4] {
             incam_parallel::set_thread_override(Some(threads));
             let mut fast = BilateralGrid::new(w, h, p);
@@ -135,11 +191,15 @@ proptest! {
             let blur_ok = fast == reference;
             let sliced = fast.slice(&guide);
             let sliced_reference = reference.slice_reference(&guide);
+            let (refined, _) = refine_in_bilateral_space(&guide, &disparity, conf, p, &solver);
             incam_parallel::set_thread_override(None);
             prop_assert!(splat_ok, "splat diverged, threads={}", threads);
             prop_assert!(blur_ok, "blur diverged, threads={}", threads);
             for (a, b) in sliced.pixels().iter().zip(sliced_reference.pixels()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
+            }
+            for (a, b) in refined.pixels().iter().zip(refined_reference.pixels()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "solver, threads={}", threads);
             }
         }
     }

@@ -44,7 +44,14 @@ pub type RgbImage = Image<[f32; 3]>;
 
 /// Converts RGB to luminance with the Rec. 601 weights.
 pub fn rgb_to_gray(rgb: &RgbImage) -> GrayImage {
-    rgb.map(|[r, g, b]| 0.299 * r + 0.587 * g + 0.114 * b)
+    rgb.map(|[r, g, b]| luma(r, g, b))
+}
+
+/// The Rec. 601 luma of one pixel: the one expression every conversion
+/// here evaluates.
+#[inline]
+fn luma(r: f32, g: f32, b: f32) -> f32 {
+    0.299 * r + 0.587 * g + 0.114 * b
 }
 
 /// Simulates a raw capture: samples one channel per pixel under the RGGB
@@ -63,9 +70,79 @@ pub fn bayer_mosaic(rgb: &RgbImage) -> GrayImage {
 /// Bilinear demosaic of an RGGB mosaic back to RGB — the kernel of the VR
 /// pipeline's pre-processing block.
 pub fn demosaic_bilinear(raw: &GrayImage) -> RgbImage {
+    Image::from_fn(raw.width(), raw.height(), |x, y| demosaic_at(raw, x, y))
+}
+
+/// Bilinear demosaic straight to luma: bit-equal to
+/// `rgb_to_gray(&demosaic_bilinear(raw))`, without the RGB image.
+///
+/// Away from the border every neighbour the per-pixel rule averages lies
+/// inside the image and carries the wanted channel, so each average is a
+/// fixed sum over the three rows around the pixel —
+/// `(0.0 + a + b + c + d) / 4.0` across or diagonally, `(0.0 + a + b) / 2.0`
+/// along one axis — in the reference's offset order, and the luma sum
+/// takes the channels in the reference's order. The one-pixel border runs
+/// the per-pixel rule itself.
+///
+/// # Examples
+///
+/// ```
+/// use incam_imaging::color::{demosaic_bilinear, demosaic_luma, rgb_to_gray};
+/// use incam_imaging::image::GrayImage;
+///
+/// let raw = GrayImage::from_fn(6, 5, |x, y| ((x * 7 + y * 3) % 5) as f32 / 5.0);
+/// assert_eq!(demosaic_luma(&raw), rgb_to_gray(&demosaic_bilinear(&raw)));
+/// ```
+pub fn demosaic_luma(raw: &GrayImage) -> GrayImage {
+    let (w, h) = raw.dims();
+    let mut out = vec![0.0f32; w * h];
+    for (y, orow) in out.chunks_mut(w).enumerate() {
+        if y == 0 || y + 1 == h || w < 3 {
+            for (x, o) in orow.iter_mut().enumerate() {
+                let [r, g, b] = demosaic_at(raw, x, y);
+                *o = luma(r, g, b);
+            }
+            continue;
+        }
+        for x in [0, w - 1] {
+            let [r, g, b] = demosaic_at(raw, x, y);
+            orow[x] = luma(r, g, b);
+        }
+        let (up, mid, down) = (raw.row(y - 1), raw.row(y), raw.row(y + 1));
+        let red_row = y.is_multiple_of(2);
+        for x in 1..w - 1 {
+            let here = mid[x];
+            // the two one-axis averages: along the row and along the column
+            let along_row = (0.0 + mid[x - 1] + mid[x + 1]) / 2.0;
+            let along_col = (0.0 + up[x] + down[x]) / 2.0;
+            orow[x] = match (red_row, x.is_multiple_of(2)) {
+                // green sites: one channel on the row, the other on the column
+                (true, false) => luma(along_row, here, along_col),
+                (false, true) => luma(along_col, here, along_row),
+                // red and blue sites: green across, the opposite colour
+                // on the diagonals
+                (red, _) => {
+                    let cross = (0.0 + mid[x - 1] + mid[x + 1] + up[x] + down[x]) / 4.0;
+                    let diag = (0.0 + up[x - 1] + up[x + 1] + down[x - 1] + down[x + 1]) / 4.0;
+                    if red {
+                        luma(here, cross, diag)
+                    } else {
+                        luma(diag, cross, here)
+                    }
+                }
+            };
+        }
+    }
+    GrayImage::from_vec(w, h, out)
+}
+
+/// The RGB the bilinear demosaic assigns to pixel `(x, y)`: the pixel's
+/// own channel, and for each other channel the mean of the neighbours (in
+/// a fixed offset order) that sample it.
+fn demosaic_at(raw: &GrayImage, x: usize, y: usize) -> [f32; 3] {
     let (w, h) = raw.dims();
     // Average the neighbors of `(x, y)` whose mosaic channel is `ch`.
-    let avg = |x: usize, y: usize, ch: BayerChannel, offsets: &[(isize, isize)]| -> f32 {
+    let avg = |ch: BayerChannel, offsets: &[(isize, isize)]| -> f32 {
         let mut sum = 0.0;
         let mut count = 0.0;
         for &(dx, dy) in offsets {
@@ -92,35 +169,33 @@ pub fn demosaic_bilinear(raw: &GrayImage) -> RgbImage {
     const AXIS_H: [(isize, isize); 2] = [(-1, 0), (1, 0)];
     const AXIS_V: [(isize, isize); 2] = [(0, -1), (0, 1)];
 
-    Image::from_fn(w, h, |x, y| {
-        let here = raw.get(x, y);
-        match bayer_channel_at(x, y) {
-            BayerChannel::Red => {
-                let g = avg(x, y, BayerChannel::Green, &CROSS);
-                let b = avg(x, y, BayerChannel::Blue, &DIAG);
-                [here, g, b]
-            }
-            BayerChannel::Blue => {
-                let g = avg(x, y, BayerChannel::Green, &CROSS);
-                let r = avg(x, y, BayerChannel::Red, &DIAG);
-                [r, g, here]
-            }
-            BayerChannel::Green => {
-                // red is on this row for RGGB green at (1,0) rows, else column
-                let r = if y % 2 == 0 {
-                    avg(x, y, BayerChannel::Red, &AXIS_H)
-                } else {
-                    avg(x, y, BayerChannel::Red, &AXIS_V)
-                };
-                let b = if y % 2 == 0 {
-                    avg(x, y, BayerChannel::Blue, &AXIS_V)
-                } else {
-                    avg(x, y, BayerChannel::Blue, &AXIS_H)
-                };
-                [r, here, b]
-            }
+    let here = raw.get(x, y);
+    match bayer_channel_at(x, y) {
+        BayerChannel::Red => {
+            let g = avg(BayerChannel::Green, &CROSS);
+            let b = avg(BayerChannel::Blue, &DIAG);
+            [here, g, b]
         }
-    })
+        BayerChannel::Blue => {
+            let g = avg(BayerChannel::Green, &CROSS);
+            let r = avg(BayerChannel::Red, &DIAG);
+            [r, g, here]
+        }
+        BayerChannel::Green => {
+            // red is on this row for RGGB green at (1,0) rows, else column
+            let r = if y.is_multiple_of(2) {
+                avg(BayerChannel::Red, &AXIS_H)
+            } else {
+                avg(BayerChannel::Red, &AXIS_V)
+            };
+            let b = if y.is_multiple_of(2) {
+                avg(BayerChannel::Blue, &AXIS_V)
+            } else {
+                avg(BayerChannel::Blue, &AXIS_H)
+            };
+            [r, here, b]
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Property-based tests of the imaging substrate.
 
+use incam_imaging::color::{demosaic_bilinear, demosaic_luma, rgb_to_gray};
 use incam_imaging::convolve::{
     box_blur, convolve_h, convolve_h_reference, convolve_separable, convolve_separable_into,
     convolve_separable_reference, convolve_v, convolve_v_reference, gaussian_blur, gaussian_kernel,
@@ -322,6 +323,46 @@ proptest! {
         let whole_reference = resize_bilinear_reference(&img, ow, oh);
         for (a, b) in whole.pixels().iter().zip(whole_reference.pixels()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// B1's fused demosaic-to-luma is bit-exact against demosaicing to
+    /// RGB and converting, at sizes 1–40 — every case also checks the
+    /// 1- or 2-wide and 1- or 2-tall variants, where most or all pixels
+    /// take the border rule — on mosaics with negative zeros and values
+    /// outside [0, 1], at threads 1 and 4.
+    #[test]
+    fn demosaic_luma_bitwise_equal_reference(
+        w in 1usize..41,
+        h in 1usize..41,
+        seed in 0u64..5000,
+    ) {
+        for (w, h) in [(w, h), (1 + w % 2, h), (w, 1 + h % 2)] {
+            let raw = Image::from_fn(w, h, move |x, y| {
+                match (x * 29 + y * 13 + seed as usize * 7) % 61 {
+                    5 => -0.0,
+                    k => k as f32 / 50.0 - 0.1,
+                }
+            });
+            let reference = rgb_to_gray(&demosaic_bilinear(&raw));
+            for threads in [1usize, 4] {
+                incam_parallel::set_thread_override(Some(threads));
+                let fast = demosaic_luma(&raw);
+                incam_parallel::set_thread_override(None);
+                prop_assert_eq!(fast.dims(), (w, h));
+                for (i, (a, b)) in fast.pixels().iter().zip(reference.pixels()).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{}x{} pixel ({}, {}), threads={}",
+                        w,
+                        h,
+                        i % w,
+                        i / w,
+                        threads
+                    );
+                }
+            }
         }
     }
 

@@ -3,8 +3,14 @@
 //!
 //! B1 is cheap (≈5 % of the serial compute, paper Fig. 9) and leaves the
 //! data volume unchanged (8-bit Bayer in, 8-bit luma out).
+//!
+//! The block never builds the RGB image: [`incam_imaging::color::demosaic_luma`]
+//! interpolates each pixel's missing channels and reduces them to luma in
+//! one pass over three raw rows, bit-equal to demosaicing to RGB and then
+//! converting (`rgb_to_gray(&demosaic_bilinear(raw))`, the oracle its
+//! proptest checks against).
 
-use incam_imaging::color::{demosaic_bilinear, rgb_to_gray};
+use incam_imaging::color::demosaic_luma;
 use incam_imaging::image::GrayImage;
 
 /// Effective arithmetic operations per pixel (demosaic interpolation +
@@ -25,7 +31,7 @@ pub const OPS_PER_PIXEL: f64 = 19.0;
 /// assert_eq!(luma.dims(), (16, 16));
 /// ```
 pub fn preprocess(raw: &GrayImage) -> GrayImage {
-    rgb_to_gray(&demosaic_bilinear(raw))
+    demosaic_luma(raw)
 }
 
 /// Arithmetic work of preprocessing one frame of `pixels` pixels.

@@ -7,6 +7,10 @@
 //! 360° video. B4's compute is marginal (~5 %, Fig. 9) but its data
 //! reduction is decisive: it emits the only payload small enough to
 //! upload in real time (Fig. 10).
+//!
+//! [`stitch`] runs every pass over row slices, with the feather and the
+//! summed blend weight computed once per column; [`stitch_reference`]
+//! keeps the per-pixel formulation as its bit-exact oracle.
 
 use incam_imaging::image::GrayImage;
 
@@ -38,19 +42,97 @@ pub struct StereoPanorama {
 /// `overlap` columns of each segment blend linearly into the next;
 /// `ipd_scale` converts disparity into the inter-eye pixel shift.
 ///
+/// Every pass runs over row slices. The feather depends only on the
+/// column within a segment and the summed blend weight only on the
+/// panorama column, so both are computed once per column (the weight
+/// with the same pair-order adds). Each panorama pixel still accumulates
+/// its segments in pair order and divides by that weight, and the right
+/// eye samples the left with the bilinear expression of
+/// [`crate::frame::sample_bilinear`] at the pixel's own row (`ty = 0`),
+/// so the panorama is bit-equal to [`stitch_reference`].
+///
 /// # Panics
 ///
 /// Panics if `pairs` is empty, segments differ in size, or `overlap` is
 /// not smaller than the segment width.
 pub fn stitch(pairs: &[PairDepth], overlap: usize, ipd_scale: f32) -> StereoPanorama {
-    assert!(!pairs.is_empty(), "need at least one pair");
-    let (w, h) = pairs[0].reference.dims();
-    for p in pairs {
-        assert_eq!(p.reference.dims(), (w, h), "segments must match");
-        assert_eq!(p.disparity.dims(), (w, h), "disparity must match view");
+    let (w, h) = check_segments(pairs, overlap);
+    let step = w - overlap;
+    let pano_w = step * pairs.len() + overlap;
+    let feathers: Vec<f32> = (0..w).map(|x| feather(x, w, overlap)).collect();
+    let mut column_weight = vec![0.0f32; pano_w];
+    for i in 0..pairs.len() {
+        for (cw, &f) in column_weight[i * step..][..w].iter_mut().zip(&feathers) {
+            *cw += f;
+        }
     }
-    assert!(overlap < w, "overlap must be smaller than segment width");
 
+    let mut left = vec![0.0f32; pano_w * h];
+    let mut disparity = vec![0.0f32; pano_w * h];
+    for (i, pair) in pairs.iter().enumerate() {
+        let rows = left
+            .chunks_mut(pano_w)
+            .zip(disparity.chunks_mut(pano_w))
+            .enumerate();
+        for (y, (lrow, drow)) in rows {
+            let segment = lrow[i * step..][..w]
+                .iter_mut()
+                .zip(&mut drow[i * step..][..w]);
+            let sources = pair.reference.row(y).iter().zip(pair.disparity.row(y));
+            for (((l, d), &f), (&r, &p)) in segment.zip(&feathers).zip(sources) {
+                *l += f * r;
+                *d += f * p;
+            }
+        }
+    }
+    for (lrow, drow) in left.chunks_mut(pano_w).zip(disparity.chunks_mut(pano_w)) {
+        for ((l, d), &cw) in lrow.iter_mut().zip(drow).zip(&column_weight) {
+            let wt = cw.max(1e-6);
+            *l /= wt;
+            *d /= wt;
+        }
+    }
+
+    // right eye: DIBR shift by scaled disparity, sampled along the row
+    let mut right = vec![0.0f32; pano_w * h];
+    let max_x = (pano_w - 1) as f32;
+    for (y, (rrow, drow)) in right
+        .chunks_mut(pano_w)
+        .zip(disparity.chunks(pano_w))
+        .enumerate()
+    {
+        let upper = &left[y * pano_w..][..pano_w];
+        let lower = &left[(y + 1).min(h - 1) * pano_w..][..pano_w];
+        let ty = 0.0f32;
+        for (x, (out, &d)) in rrow.iter_mut().zip(drow).enumerate() {
+            let shift = d * ipd_scale;
+            let fx = (x as f32 + shift).clamp(0.0, max_x);
+            // never negative after the clamp: truncation is `floor()`
+            let x0 = fx as usize;
+            let x1 = (x0 + 1).min(pano_w - 1);
+            let tx = fx - x0 as f32;
+            let top = upper[x0] * (1.0 - tx) + upper[x1] * tx;
+            let bot = lower[x0] * (1.0 - tx) + lower[x1] * tx;
+            *out = top * (1.0 - ty) + bot * ty;
+        }
+    }
+
+    StereoPanorama {
+        left: GrayImage::from_vec(pano_w, h, left),
+        right: GrayImage::from_vec(pano_w, h, right),
+    }
+}
+
+/// The original per-pixel stitch (feather, accumulate and weight every
+/// pixel of every segment through bounds-checked accessors, then one
+/// `sample_bilinear` per right-eye pixel) — correctness oracle for
+/// [`stitch`] and the "before" side of its kernel microbenchmark.
+///
+/// # Panics
+///
+/// As [`stitch`].
+pub fn stitch_reference(pairs: &[PairDepth], overlap: usize, ipd_scale: f32) -> StereoPanorama {
+    let (w, h) = check_segments(pairs, overlap);
     let step = w - overlap;
     let pano_w = step * pairs.len() + overlap;
     let mut left = GrayImage::zeros(pano_w, h);
@@ -83,6 +165,18 @@ pub fn stitch(pairs: &[PairDepth], overlap: usize, ipd_scale: f32) -> StereoPano
     });
 
     StereoPanorama { left, right }
+}
+
+/// Checks the stitch preconditions and returns the segment size.
+fn check_segments(pairs: &[PairDepth], overlap: usize) -> (usize, usize) {
+    assert!(!pairs.is_empty(), "need at least one pair");
+    let (w, h) = pairs[0].reference.dims();
+    for p in pairs {
+        assert_eq!(p.reference.dims(), (w, h), "segments must match");
+        assert_eq!(p.disparity.dims(), (w, h), "disparity must match view");
+    }
+    assert!(overlap < w, "overlap must be smaller than segment width");
+    (w, h)
 }
 
 fn feather(x: usize, width: usize, overlap: usize) -> f32 {

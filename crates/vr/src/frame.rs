@@ -7,9 +7,15 @@
 //! Data-volume and throughput accounting use the analytical
 //! [`crate::rig::CameraRig`] model at full scale; the functional path runs
 //! at a scaled resolution.
+//!
+//! [`affine_warp`] (the capture's misalignment and B2's rectification)
+//! computes its inverse map's column terms once per column and row terms
+//! once per row, which is the map's own left-to-right evaluation order,
+//! and samples through row slices; [`to_bayer_raw`] tints only the channel
+//! the mosaic keeps. Both are bit-equal to their per-pixel formulations.
 
 use crate::rig::CameraRig;
-use incam_imaging::color::{bayer_mosaic, RgbImage};
+use incam_imaging::color::{bayer_channel_at, BayerChannel};
 use incam_imaging::image::GrayImage;
 use incam_imaging::scenes::stereo_scene;
 use incam_rng::Rng;
@@ -70,48 +76,66 @@ pub struct RigCapture {
 
 /// Applies a rotation + translation to an image (bilinear, replicate
 /// border) around the image center.
+///
+/// Each output pixel samples the source at `(cx + cos·dx + sin·dy,
+/// cy − sin·dx + cos·dy)`. Evaluated left to right, those sums are
+/// `(cx + cos·dx) + sin·dy` and `(cy − sin·dx) + cos·dy`, so the column
+/// terms are computed once per column and the row terms once per row
+/// without changing a bit of any coordinate.
 pub fn affine_warp(img: &GrayImage, rotation: f32, tx: f32, ty: f32) -> GrayImage {
     let (w, h) = img.dims();
     let (cx, cy) = (w as f32 / 2.0, h as f32 / 2.0);
     let (sin, cos) = rotation.sin_cos();
-    GrayImage::from_fn(w, h, |x, y| {
-        // inverse map: rotate by -rotation, subtract translation
-        let dx = x as f32 - cx - tx;
+    // inverse map: rotate by -rotation, subtract translation
+    let columns: Vec<(f32, f32)> = (0..w)
+        .map(|x| {
+            let dx = x as f32 - cx - tx;
+            (cx + cos * dx, cy - sin * dx)
+        })
+        .collect();
+    let mut out = vec![0.0f32; w * h];
+    for (y, orow) in out.chunks_mut(w).enumerate() {
         let dy = y as f32 - cy - ty;
-        let sx = cx + cos * dx + sin * dy;
-        let sy = cy - sin * dx + cos * dy;
-        sample_bilinear(img, sx, sy)
-    })
+        let (sin_dy, cos_dy) = (sin * dy, cos * dy);
+        for (o, &(col_x, col_y)) in orow.iter_mut().zip(&columns) {
+            *o = sample_bilinear(img, col_x + sin_dy, col_y + cos_dy);
+        }
+    }
+    GrayImage::from_vec(w, h, out)
 }
 
-/// Bilinear sample with replicate border.
+/// Bilinear sample with replicate border. The two source rows are sliced
+/// once; the clamped coordinates are never negative, so truncating them
+/// with `as usize` gives the cells `floor()` does, without a libm call.
+#[inline]
 pub fn sample_bilinear(img: &GrayImage, x: f32, y: f32) -> f32 {
     let (w, h) = img.dims();
     let fx = x.clamp(0.0, (w - 1) as f32);
     let fy = y.clamp(0.0, (h - 1) as f32);
-    let x0 = fx.floor() as usize;
-    let y0 = fy.floor() as usize;
+    let x0 = fx as usize;
+    let y0 = fy as usize;
     let x1 = (x0 + 1).min(w - 1);
     let y1 = (y0 + 1).min(h - 1);
     let tx = fx - x0 as f32;
     let ty = fy - y0 as f32;
-    let top = img.get(x0, y0) * (1.0 - tx) + img.get(x1, y0) * tx;
-    let bot = img.get(x0, y1) * (1.0 - tx) + img.get(x1, y1) * tx;
+    let (upper, lower) = (img.row(y0), img.row(y1));
+    let top = upper[x0] * (1.0 - tx) + upper[x1] * tx;
+    let bot = lower[x0] * (1.0 - tx) + lower[x1] * tx;
     top * (1.0 - ty) + bot * ty
 }
 
 /// Converts a grayscale view into a tinted RGB scene and samples its
-/// Bayer mosaic — the raw format the sensors emit.
+/// Bayer mosaic — the raw format the sensors emit. Only the channel the
+/// mosaic keeps at each pixel is tinted, so no RGB image is built.
 pub fn to_bayer_raw(gray: &GrayImage) -> GrayImage {
-    let rgb = RgbImage::from_fn(gray.width(), gray.height(), |x, y| {
+    GrayImage::from_fn(gray.width(), gray.height(), |x, y| {
         let g = gray.get(x, y);
-        [
-            (g * 1.08 - 0.02).clamp(0.0, 1.0),
-            g,
-            (g * 0.92 + 0.02).clamp(0.0, 1.0),
-        ]
-    });
-    bayer_mosaic(&rgb)
+        match bayer_channel_at(x, y) {
+            BayerChannel::Red => (g * 1.08 - 0.02).clamp(0.0, 1.0),
+            BayerChannel::Green => g,
+            BayerChannel::Blue => (g * 0.92 + 0.02).clamp(0.0, 1.0),
+        }
+    })
 }
 
 /// Generates a synthetic capture for every pair of the rig.
