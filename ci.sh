@@ -63,8 +63,9 @@ repro_diff() {
     cmp "${base}_t1a.txt" "${base}_t4.txt"
 }
 
-step "build (release, offline)"
-cargo build --release --offline --workspace
+step "build (release, offline, locked)"
+# --locked: a manifest edit without its Cargo.lock update fails here.
+cargo build --release --offline --locked --workspace
 
 step "test (offline)"
 cargo test -q --offline --workspace

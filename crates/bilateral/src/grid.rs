@@ -9,14 +9,13 @@
 //! strongly in intensity land in different grid cells along the third
 //! axis, so grid-space smoothing never mixes across an image edge.
 //!
-//! The splat (a scatter into shared vertices) and the fused blur (a
-//! rolling ring of slabs) are sequential sweeps; the slice gathers
-//! independent pixel rows on the [`incam_parallel`] pool. Splat and slice
-//! derive each guide row's intensity taps in one pass before the
-//! per-pixel tap loop, and the blur's ring and slab buffers are allocated
-//! once per call — or once per solve, when the bilateral-space solver
-//! blurs its state's values alone. Each fast path is bit-equal to its
-//! `*_reference` formulation.
+//! The splat (a scatter into shared vertices), the fused blur (a rolling
+//! ring of slabs) and the slice (independent pixel gathers) are
+//! sequential sweeps. Splat and slice derive each guide row's intensity
+//! taps in one pass before the per-pixel tap loop, and the blur's ring
+//! and slab buffers are allocated once per call — or once per solve,
+//! when the bilateral-space solver blurs its state's values alone. Each
+//! fast path is bit-equal to its `*_reference` formulation.
 
 use incam_imaging::image::GrayImage;
 
@@ -280,7 +279,6 @@ impl BilateralGrid {
 
     /// Reads the filtered value at every pixel of `guide` (trilinear
     /// interpolation of `value/weight`). Vertices with no support yield 0.
-    /// Pixels are independent gathers, evaluated row-parallel.
     ///
     /// Fast path: spatial tap cells/weights are precomputed per pixel
     /// coordinate (`spatial_taps`), and each row's intensity taps are
@@ -293,7 +291,8 @@ impl BilateralGrid {
         let xt = spatial_taps(w, self.params.sigma_spatial, self.gw);
         let yt = spatial_taps(h, self.params.sigma_spatial, self.gh);
         let sigma_range = self.params.sigma_range;
-        let data = incam_parallel::par_map_rows(h, w, |y, dst| {
+        let mut data = vec![0.0f32; w * h];
+        for (y, dst) in data.chunks_mut(w).enumerate() {
             let (cy0, cy1, wy0, wy1) = yt[y];
             let (mut z0s, mut tzs) = ([0usize; TAP_CHUNK], [0.0f32; TAP_CHUNK]);
             for ((dst, grow), xt) in dst
@@ -322,7 +321,7 @@ impl BilateralGrid {
                     *out = if den > 1e-8 { num / den } else { 0.0 };
                 }
             }
-        });
+        }
         GrayImage::from_vec(w, h, data)
     }
 
@@ -331,7 +330,7 @@ impl BilateralGrid {
     /// [`BilateralGrid::slice`] and the "before" side of the kernel
     /// microbenchmarks.
     pub fn slice_reference(&self, guide: &GrayImage) -> GrayImage {
-        GrayImage::from_fn_par(guide.width(), guide.height(), |x, y| {
+        GrayImage::from_fn(guide.width(), guide.height(), |x, y| {
             self.slice_one(x, y, guide.get(x, y))
         })
     }
@@ -586,9 +585,7 @@ fn blur_xyz_into(
 }
 
 /// One `[1, 2, 1]/4` blur pass along `axis` (0=x, 1=y, 2=intensity) with
-/// replicated borders, `src` → `dst`. Output rows are independent, so they
-/// run on the [`incam_parallel`] pool; each output element is a pure
-/// function of `src`, making the pass byte-identical at any thread count.
+/// replicated borders, `src` → `dst`, one output row at a time.
 fn blur_axis_into((nx, ny, nz): (usize, usize, usize), src: &[f32], dst: &mut [f32], axis: usize) {
     debug_assert_eq!(src.len(), nx * ny * nz);
     debug_assert_eq!(dst.len(), src.len());
@@ -603,7 +600,7 @@ fn blur_axis_into((nx, ny, nz): (usize, usize, usize), src: &[f32], dst: &mut [f
         1 => (0, 1, 0),
         _ => (0, 0, 1),
     };
-    incam_parallel::par_chunks(dst, nx, |row, out_row| {
+    for (row, out_row) in dst.chunks_mut(nx).enumerate() {
         let z = (row / ny) as isize;
         let y = (row % ny) as isize;
         for (x, out) in out_row.iter_mut().enumerate() {
@@ -611,7 +608,7 @@ fn blur_axis_into((nx, ny, nz): (usize, usize, usize), src: &[f32], dst: &mut [f
             *out = (get(x - dx, y - dy, z - dz) + 2.0 * get(x, y, z) + get(x + dx, y + dy, z + dz))
                 / 4.0;
         }
-    });
+    }
 }
 
 #[cfg(test)]

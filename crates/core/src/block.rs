@@ -20,7 +20,6 @@ use core::fmt;
 /// assert!(!BlockKind::Core.is_optional());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BlockKind {
     /// Essential to the application's function.
     Core,
@@ -48,7 +47,6 @@ impl fmt::Display for BlockKind {
 /// The implementation class chosen for a block (Fig. 1's `ASIC`, `FPGA`,
 /// `CPU`, `Cloud` annotations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Backend {
     /// Fixed-function custom silicon integrated with the sensor.
     Asic,
@@ -125,7 +123,6 @@ impl fmt::Display for Backend {
 /// assert_eq!(classify.apply(Bytes::from_mib(8.0)), Bytes::new(1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataTransform {
     /// Output size is `factor ×` input size.
     Scale(f64),

@@ -19,7 +19,6 @@ use core::fmt;
 
 /// Which cost limits a configuration's frame rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Constraint {
     /// In-camera compute is the bottleneck.
     Computation,

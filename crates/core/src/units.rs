@@ -34,7 +34,6 @@ macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal, $accessor:ident) => {
         $(#[$meta])*
         #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(f64);
 
         impl $name {

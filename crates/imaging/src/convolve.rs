@@ -1,11 +1,8 @@
 //! Separable convolution and the small set of kernels the workspace needs
 //! (box, Gaussian). Borders use pixel replication.
 //!
-//! The vertical pass evaluates output rows on the [`incam_parallel`]
-//! pool; each output pixel is a pure function of its coordinates, so
-//! results are byte-identical at any thread count. The row pass and the
-//! fused separable pass each run as one sequential sweep in reused
-//! buffers.
+//! Every pass is one sequential sweep over the output rows; the row
+//! pass and the fused separable pass run in reused buffers.
 //!
 //! ## Kernel microarchitecture
 //!
@@ -86,8 +83,11 @@ pub fn convolve_h(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 pub fn convolve_v(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let (w, h) = img.dims();
-    let data = incam_parallel::par_map_rows(h, w, |y, dst| convolve_col_into(img, kernel, y, dst));
-    GrayImage::from_vec(w, h, data)
+    let mut out = vec![0.0f32; w * h];
+    for (y, dst) in out.chunks_mut(w).enumerate() {
+        convolve_col_into(img, kernel, y, dst);
+    }
+    GrayImage::from_vec(w, h, out)
 }
 
 /// Separable convolution: horizontal then vertical pass with the same
@@ -174,7 +174,7 @@ fn separable_pass(img: &GrayImage, kernel: &[f32], out: &mut [f32], ring: &mut V
 pub fn convolve_h_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let r = (kernel.len() / 2) as isize;
-    GrayImage::from_fn_par(img.width(), img.height(), |x, y| {
+    GrayImage::from_fn(img.width(), img.height(), |x, y| {
         let mut acc = 0.0f32;
         for (i, &k) in kernel.iter().enumerate() {
             let sx = x as isize + i as isize - r;
@@ -189,7 +189,7 @@ pub fn convolve_h_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 pub fn convolve_v_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let r = (kernel.len() / 2) as isize;
-    GrayImage::from_fn_par(img.width(), img.height(), |x, y| {
+    GrayImage::from_fn(img.width(), img.height(), |x, y| {
         let mut acc = 0.0f32;
         for (i, &k) in kernel.iter().enumerate() {
             let sy = y as isize + i as isize - r;

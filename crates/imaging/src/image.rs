@@ -77,36 +77,6 @@ impl<T: Copy> Image<T> {
         }
     }
 
-    /// Like [`Image::from_fn`], but rows are evaluated in parallel on the
-    /// [`incam_parallel`] pool. Byte-identical to `from_fn` at any thread
-    /// count (each pixel is a pure function of its coordinates); the pool
-    /// falls back to sequential evaluation at one thread.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use incam_imaging::image::Image;
-    /// let a = Image::from_fn(33, 17, |x, y| (x * 31 + y) as f32);
-    /// let b = Image::from_fn_par(33, 17, |x, y| (x * 31 + y) as f32);
-    /// assert_eq!(a, b);
-    /// ```
-    pub fn from_fn_par(width: usize, height: usize, f: impl Fn(usize, usize) -> T + Sync) -> Self
-    where
-        T: Send + Default,
-    {
-        assert!(width > 0 && height > 0, "image dimensions must be nonzero");
-        let data = incam_parallel::par_map_rows(height, width, |y, row| {
-            for (x, slot) in row.iter_mut().enumerate() {
-                *slot = f(x, y);
-            }
-        });
-        Self {
-            width,
-            height,
-            data,
-        }
-    }
-
     /// Wraps an existing row-major pixel buffer.
     ///
     /// # Panics

@@ -121,18 +121,17 @@ impl IntegralImage {
         Self::from_mapped_reference(img, |p| (p as f64) * (p as f64))
     }
 
-    fn from_mapped_reference(img: &GrayImage, f: impl Fn(f32) -> f64 + Sync) -> Self {
+    fn from_mapped_reference(img: &GrayImage, f: impl Fn(f32) -> f64) -> Self {
         let (w, h) = img.dims();
         let tw = w + 1;
         let mut table = vec![0.0f64; tw * (h + 1)];
-        let (_, rows) = table.split_at_mut(tw);
-        incam_parallel::par_chunks(rows, tw, |y, row| {
+        for (y, row) in table[tw..].chunks_mut(tw).enumerate() {
             let mut row_sum = 0.0f64;
             for x in 0..w {
                 row_sum += f(img.get(x, y));
                 row[x + 1] = row_sum;
             }
-        });
+        }
         for y in 2..=h {
             let (head, tail) = table.split_at_mut(y * tw);
             let prev = &head[(y - 1) * tw..];

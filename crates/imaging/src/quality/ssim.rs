@@ -75,7 +75,7 @@ pub(crate) fn ssim_components(a: &GrayImage, b: &GrayImage, cfg: &SsimConfig) ->
 }
 
 fn mul(a: &GrayImage, b: &GrayImage) -> GrayImage {
-    GrayImage::from_fn_par(a.width(), a.height(), |x, y| a.get(x, y) * b.get(x, y))
+    GrayImage::from_fn(a.width(), a.height(), |x, y| a.get(x, y) * b.get(x, y))
 }
 
 /// Computes the mean SSIM index between two images.

@@ -143,31 +143,6 @@ proptest! {
         }
     }
 
-    /// The parallel row primitive is byte-identical across pool sizes,
-    /// including odd-sized inputs that don't divide evenly among workers.
-    #[test]
-    fn par_map_rows_thread_count_invariant(
-        rows in 1usize..33,
-        row_len in 1usize..17,
-        seed in 0u64..1000,
-    ) {
-        let fill = move |y: usize, row: &mut [f32]| {
-            for (x, slot) in row.iter_mut().enumerate() {
-                *slot = ((y * 31 + x * 17 + seed as usize) % 101) as f32 / 101.0;
-            }
-        };
-        let run = |threads: usize| {
-            incam_parallel::set_thread_override(Some(threads));
-            let out = incam_parallel::par_map_rows(rows, row_len, fill);
-            incam_parallel::set_thread_override(None);
-            out
-        };
-        let reference = run(1);
-        for threads in [2usize, 3, 8] {
-            prop_assert_eq!(&run(threads), &reference, "threads={}", threads);
-        }
-    }
-
     /// The interior-fast-path convolutions are bit-exact against the
     /// original clamped per-pixel formulation, across random sizes
     /// (including 1×N / N×1 degenerate shapes and widths smaller than the

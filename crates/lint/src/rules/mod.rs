@@ -15,7 +15,7 @@
 //! - [`determinism`] — wall-clock, unordered-iteration, raw-thread,
 //!   env-read (the v1 allowlist rules).
 //! - [`races`] — par-capture-mut and par-float-accum, the determinism
-//!   race detector over closures passed to `incam_parallel::par_*`.
+//!   race detector over closures passed to `incam_parallel::par_map`.
 //! - [`numeric`] — lossy-cast and unchecked-arith in the hot-kernel
 //!   crates, plus fallible-unwrap over all non-test library code.
 //! - [`hygiene`] — crate-root lint attributes.

@@ -3,15 +3,13 @@
 //! `incam-parallel` keeps outputs byte-identical at any thread count by
 //! construction: workers compute into disjoint, pre-placed slots and
 //! the pool combines them in a fixed order. That contract only holds if
-//! the closures handed to `par_map`/`par_map_rows`/`par_chunks` are
-//! pure per-item functions — the borrow checker stops most
-//! shared-mutation attempts, but interior mutability (`Mutex`,
-//! `RefCell`, atomics) and `unsafe`-free cell types slip through it,
-//! and those are exactly the races that reintroduce schedule-dependent
-//! output.
+//! the closures handed to `par_map` are pure per-item functions — the
+//! borrow checker stops most shared-mutation attempts, but interior
+//! mutability (`Mutex`, `RefCell`, atomics) and `unsafe`-free cell types
+//! slip through it, and those are exactly the races that reintroduce
+//! schedule-dependent output.
 //!
-//! Two rules walk every closure whose call target is one of the pool
-//! entry points:
+//! Two rules walk every closure whose call target is a pool entry point:
 //!
 //! - **par-capture-mut** — the closure mutates a binding it *captured*
 //!   (anything not bound by its own parameters, `let`s, or `for`
@@ -35,7 +33,7 @@ use crate::visit::FileCtx;
 use crate::Diagnostic;
 
 /// The deterministic pool's entry points taking per-item closures.
-pub const PAR_FNS: &[&str] = &["par_map", "par_map_rows", "par_chunks"];
+pub const PAR_FNS: &[&str] = &["par_map"];
 
 /// Method names that mutate their receiver (or its interior).
 const MUT_METHODS: &[&str] = &[

@@ -1,9 +1,9 @@
-use incam_parallel::par_map_rows;
+use incam_parallel::par_map;
 
-pub fn energy(rows: &[Vec<f32>], out: &mut [f32]) -> f32 {
+pub fn energy(rows: &[Vec<f32>]) -> f32 {
     let mut total = 0.0f32;
-    par_map_rows(rows, out, |row| {
-        let s: f32 = row.iter().sum();
+    par_map(rows.len(), |i| {
+        let s: f32 = rows[i].iter().sum();
         total += s;
         s
     });

@@ -259,15 +259,15 @@ fn par_capture_mut_fires_on_mutated_captures() {
 
 #[test]
 fn par_float_accum_fires_on_compound_accumulation() {
-    // `total += s` inside the `par_map_rows` closure accumulates in
+    // `total += s` inside the `par_map` closure accumulates in
     // schedule order; the `let s: f32 = …` type ascription must not be
     // mistaken for an assignment.
     assert_eq!(
         rust_diags("crates/demo/src/kernels.rs", "par_float_accum.rs"),
         [
             "crates/demo/src/kernels.rs:7:9: [par-float-accum] order-sensitive `+=` \
-             accumulation into captured `total` inside a `par_map_rows` closure; return the \
-             value from the closure and fold the results in index order on the calling thread"
+             accumulation into captured `total` inside a `par_map` closure; return the value \
+             from the closure and fold the results in index order on the calling thread"
         ]
     );
 }

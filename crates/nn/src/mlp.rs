@@ -178,13 +178,10 @@ impl Mlp {
         activation
     }
 
-    /// Forward passes for a whole batch, evaluated on the
-    /// [`incam_parallel`] pool and returned in input order.
+    /// Forward passes for a whole batch, returned in input order.
     ///
-    /// Each example's forward is independent and pure, so the batch is
-    /// byte-identical to mapping [`Mlp::forward`] sequentially — at any
-    /// thread count. This is the inference hot path for Fig. 2/3-style
-    /// sweeps that score hundreds of probe images per configuration.
+    /// This is the inference hot path for Fig. 2/3-style sweeps that
+    /// score hundreds of probe images per configuration.
     ///
     /// Fast path: activations live in one flat row-major `batch × width`
     /// matrix advanced layer by layer (no per-example, per-layer `Vec`s),
@@ -211,10 +208,11 @@ impl Mlp {
             row.copy_from_slice(input);
         }
         for layer in &self.pack().layers {
-            let src = act;
-            act = incam_parallel::par_map_rows(n, layer.outputs, |e, orow| {
-                layer.forward_row(&src[e * width..(e + 1) * width], sigmoid, orow);
-            });
+            let mut next = vec![0.0f32; n * layer.outputs];
+            for (e, orow) in next.chunks_mut(layer.outputs).enumerate() {
+                layer.forward_row(&act[e * width..(e + 1) * width], sigmoid, orow);
+            }
+            act = next;
             width = layer.outputs;
         }
         act.chunks(width).map(<[f32]>::to_vec).collect()
@@ -229,12 +227,12 @@ impl Mlp {
         }
     }
 
-    /// The original batch forward (independent [`Mlp::forward`] calls on
-    /// the pool, one activation `Vec` per example per layer) —
-    /// correctness oracle for the tiled [`Mlp::forward_batch`] and the
-    /// "before" side of the kernel microbenchmarks.
+    /// The original batch forward (independent [`Mlp::forward`] calls,
+    /// one activation `Vec` per example per layer) — correctness oracle
+    /// for the tiled [`Mlp::forward_batch`] and the "before" side of the
+    /// kernel microbenchmarks.
     pub fn forward_batch_reference(&self, inputs: &[Vec<f32>], sigmoid: &Sigmoid) -> Vec<Vec<f32>> {
-        incam_parallel::par_map(inputs.len(), |i| self.forward(&inputs[i], sigmoid))
+        inputs.iter().map(|x| self.forward(x, sigmoid)).collect()
     }
 
     /// Forward pass returning every layer's activations (input first) —

@@ -215,9 +215,8 @@ pub fn train(
 
 /// Mean squared error of `net` on `data` with the given activation.
 ///
-/// The forwards run batched on the worker pool; the error accumulation
-/// stays a single in-order loop, so the result is bit-equal to the
-/// sequential evaluation at any thread count.
+/// The forwards run as one batch ([`Mlp::forward_batch`]); the error
+/// accumulates in one in-order loop.
 pub fn evaluate_mse(net: &Mlp, data: &TrainingSet, sigmoid: &Sigmoid) -> f32 {
     assert!(!data.is_empty(), "evaluation set must be non-empty");
     let outputs = net.forward_batch(&data.inputs, sigmoid);

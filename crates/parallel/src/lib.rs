@@ -1,21 +1,18 @@
-//! # incam-parallel — deterministic data-parallel kernel substrate
+//! # incam-parallel — deterministic worker pool
 //!
-//! A zero-dependency scoped worker pool (`std::thread::scope`) exposing
-//! order-preserving primitives over **independent** work units: VR camera
-//! pairs, NN batch rows and image rows. Every
-//! primitive carries the same **determinism contract**:
+//! A zero-dependency scoped worker pool (`std::thread::scope`) with one
+//! order-preserving primitive, [`par_map`], over **independent** work
+//! units. In this workspace its one caller is the VR pipeline's
+//! camera-pair fan-out (the paper's one-FPGA-per-pair split); the
+//! kernels inside a pair, and every other kernel, are sequential loops.
+//! The primitive carries a **determinism contract**:
 //!
 //! > The result is byte-identical regardless of the number of worker
 //! > threads, including the sequential fallback at one thread.
 //!
-//! The contract holds by construction, not by luck: [`par_chunks`] /
-//! [`par_map_rows`] / [`par_map`] only ever compute per-element (or
-//! per-row) values that are pure functions of the element's index —
-//! threads write disjoint output regions, so no ordering is observable.
-//! A kernel whose units are not independent (a scatter into shared
-//! vertices, a ring of filtered rows, a running prefix sum) runs as one
-//! sequential pass instead, so there is one level of parallelism and no
-//! kernel has to make N threads reproduce one thread's bits.
+//! The contract holds by construction, not by luck: [`par_map`] only
+//! ever computes values that are pure functions of the element's index,
+//! and returns them in index order, so no scheduling is observable.
 //!
 //! ## Thread-count selection
 //!
@@ -34,13 +31,9 @@
 //! # Examples
 //!
 //! ```
-//! // A 5x4 "image" where each row is filled in parallel.
-//! let data = incam_parallel::par_map_rows(5, 4, |row, out| {
-//!     for (x, slot) in out.iter_mut().enumerate() {
-//!         *slot = (row * 4 + x) as u32;
-//!     }
-//! });
-//! assert_eq!(data[..6], [0, 1, 2, 3, 4, 5]);
+//! // Five independent units, results in index order at any pool size.
+//! let squares = incam_parallel::par_map(5, |i| i * i);
+//! assert_eq!(squares, [0, 1, 4, 9, 16]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,18 +59,22 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Reads an `INCAM_THREADS` value: a positive count, surrounding
+/// whitespace allowed. Anything else (zero, negative, empty or
+/// malformed) yields `fallback` rather than crashing a long pipeline run
+/// on a typo.
+fn parse_threads(value: &str, fallback: usize) -> usize {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => fallback,
+    }
+}
+
 fn env_threads() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        match std::env::var("INCAM_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                // Malformed or zero: fall back to the hardware default
-                // rather than crashing a long pipeline run on a typo.
-                _ => default_threads(),
-            },
-            Err(_) => default_threads(),
-        }
+    *ENV.get_or_init(|| match std::env::var("INCAM_THREADS") {
+        Ok(v) => parse_threads(&v, default_threads()),
+        Err(_) => default_threads(),
     })
 }
 
@@ -98,8 +95,8 @@ fn num_threads() -> usize {
 ///
 /// Intended for the bench harness (thread-scaling sweeps) and the
 /// determinism tests; pipelines should prefer the environment knob.
-/// Because every primitive is thread-count-deterministic, flipping the
-/// override concurrently with a running kernel cannot change any result.
+/// Because [`par_map`] is thread-count-deterministic, flipping the
+/// override concurrently with a running region cannot change any result.
 ///
 /// # Panics
 ///
@@ -153,89 +150,6 @@ fn as_worker<R>(f: impl FnOnce() -> R) -> R {
         flag.set(prev);
         out
     })
-}
-
-/// Applies `f(chunk_index, chunk)` to every `chunk_len`-sized chunk of
-/// `data`, distributing contiguous runs of chunks across the pool.
-///
-/// Chunks are disjoint and each is computed by exactly one worker, so the
-/// output is byte-identical at any thread count provided `f` writes a
-/// pure function of the chunk index (the normal case: one image row per
-/// chunk).
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero or does not divide `data.len()`.
-pub fn par_chunks<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be nonzero");
-    assert_eq!(
-        data.len() % chunk_len,
-        0,
-        "data length {} is not a multiple of chunk_len {}",
-        data.len(),
-        chunk_len
-    );
-    let chunks = data.len() / chunk_len;
-    let threads = effective_threads(chunks);
-    if threads <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let plan = bands(chunks, threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = data;
-        let mut tail_band: Option<(usize, &mut [T])> = None;
-        for (b, band) in plan.iter().enumerate() {
-            let len = (band.end - band.start) * chunk_len;
-            let (mine, next) = rest.split_at_mut(len);
-            rest = next;
-            let start = band.start;
-            if b + 1 == plan.len() {
-                // The calling thread works the last band itself.
-                tail_band = Some((start, mine));
-            } else {
-                scope.spawn(move || {
-                    as_worker(|| {
-                        for (i, chunk) in mine.chunks_mut(chunk_len).enumerate() {
-                            f(start + i, chunk);
-                        }
-                    })
-                });
-            }
-        }
-        if let Some((start, mine)) = tail_band {
-            as_worker(|| {
-                for (i, chunk) in mine.chunks_mut(chunk_len).enumerate() {
-                    f(start + i, chunk);
-                }
-            });
-        }
-    });
-}
-
-/// Allocates a `rows × row_len` buffer and fills each row in parallel
-/// with `f(row_index, row)`. Rows are initialised to `T::default()`
-/// before `f` runs.
-///
-/// The workhorse for image kernels: each output row is a pure function
-/// of its index, so the result is byte-identical at any thread count.
-pub fn par_map_rows<T, F>(rows: usize, row_len: usize, f: F) -> Vec<T>
-where
-    T: Send + Copy + Default,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let mut out = vec![T::default(); rows * row_len];
-    if row_len > 0 {
-        par_chunks(&mut out, row_len, f);
-    }
-    out
 }
 
 /// Computes `f(i)` for every `i in 0..n`, returning the results in index
@@ -305,32 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_matches_sequential_at_any_thread_count() {
-        let rows = 13; // deliberately not divisible by pool sizes
-        let width = 7;
-        let fill = |i: usize, chunk: &mut [u64]| {
-            for (x, slot) in chunk.iter_mut().enumerate() {
-                *slot = (i * 1_000 + x) as u64;
-            }
-        };
-        let reference = {
-            let mut v = vec![0u64; rows * width];
-            for (i, chunk) in v.chunks_mut(width).enumerate() {
-                fill(i, chunk);
-            }
-            v
-        };
-        for threads in [1, 2, 3, 8] {
-            let got = with_threads(threads, || {
-                let mut v = vec![0u64; rows * width];
-                par_chunks(&mut v, width, fill);
-                v
-            });
-            assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         for threads in [1, 2, 5] {
             let got = with_threads(threads, || par_map(11, |i| i * i));
@@ -362,15 +250,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_override_rejected() {
-        set_thread_override(Some(0));
+    fn thread_count_parse_accepts_positive_counts_only() {
+        assert_eq!(parse_threads("4", 7), 4);
+        assert_eq!(parse_threads(" 2 ", 7), 2);
+        for bad in ["0", "", "-1", "four"] {
+            assert_eq!(parse_threads(bad, 7), 7, "{bad:?} must fall back");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "multiple of chunk_len")]
-    fn ragged_chunks_rejected() {
-        let mut v = vec![0u8; 10];
-        par_chunks(&mut v, 3, |_, _| {});
+    #[should_panic(expected = "at least 1")]
+    fn zero_override_rejected() {
+        set_thread_override(Some(0));
     }
 }

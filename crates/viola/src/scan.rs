@@ -238,27 +238,19 @@ pub fn scan_reference(cascade: &Cascade, image: &GrayImage, params: &ScanParams)
         }
         result.stats.scales += 1;
         let stride = params.step.stride(side);
-        let row_count = (h - side) / stride + 1;
-        let rows = incam_parallel::par_map(row_count, |r| {
-            let y = r * stride;
-            let mut hits = Vec::new();
-            let (mut windows, mut features) = (0u64, 0u64);
+        let mut y = 0;
+        while y + side <= h {
             let mut x = 0;
             while x + side <= w {
                 let verdict = cascade.classify_window(&ii, &sq, x, y, scale);
-                windows += 1;
-                features += verdict.features_evaluated as u64;
+                result.stats.windows += 1;
+                result.stats.features += verdict.features_evaluated as u64;
                 if verdict.accepted {
-                    hits.push(Detection { x, y, side });
+                    result.raw.push(Detection { x, y, side });
                 }
                 x += stride;
             }
-            (hits, windows, features)
-        });
-        for (hits, windows, features) in rows {
-            result.raw.extend(hits);
-            result.stats.windows += windows;
-            result.stats.features += features;
+            y += stride;
         }
         scale *= params.scale_factor;
     }

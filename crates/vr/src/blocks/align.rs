@@ -29,8 +29,8 @@ pub struct AlignedPair {
     pub neighbour: GrayImage,
 }
 
-/// Rectifies a pair: applies the inverse of the known calibration warp to
-/// the neighbour view.
+/// Rectifies a pair: copies the reference view and warps the neighbour
+/// view back into the reference frame.
 ///
 /// # Panics
 ///
@@ -45,17 +45,22 @@ pub fn align_pair(
         neighbour.dims(),
         "pair views must have equal dimensions"
     );
+    AlignedPair {
+        reference: reference.clone(),
+        neighbour: rectify(neighbour, calibration),
+    }
+}
+
+/// Applies the inverse of the known calibration warp to the neighbour
+/// view, bringing it into the reference view's frame.
+pub(crate) fn rectify(neighbour: &GrayImage, calibration: &PairCalibration) -> GrayImage {
     // invert the rotation+translation the mount introduced:
     // forward is p = R(rot)(q - c) + c + t, so the inverse warp uses
     // rotation -rot and translation -R(-rot)·t
     let (sin, cos) = calibration.rotation.sin_cos();
     let inv_tx = -(cos * calibration.tx + sin * calibration.ty);
     let inv_ty = -(-sin * calibration.tx + cos * calibration.ty);
-    let rectified = affine_warp(neighbour, -calibration.rotation, inv_tx, inv_ty);
-    AlignedPair {
-        reference: reference.clone(),
-        neighbour: rectified,
-    }
+    affine_warp(neighbour, -calibration.rotation, inv_tx, inv_ty)
 }
 
 /// Arithmetic work of aligning one pair of `pixels`-pixel views.

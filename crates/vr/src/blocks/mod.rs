@@ -33,15 +33,18 @@ pub fn run_functional_pipeline(capture: &RigCapture) -> StereoPanorama {
     // the worker pool (the paper's per-camera parallelism); results come
     // back in rig order and each pair's chain is a pure function of its
     // capture, so the panorama is byte-identical at any thread count.
-    // This is the one level of parallelism: the kernels inside a pair
-    // (grid splat and blur, block match) are sequential passes.
+    // This is the workspace's one parallel unit: every kernel inside a
+    // pair, and every kernel elsewhere, is a sequential loop.
     let pair_depths: Vec<PairDepth> = incam_parallel::par_map(capture.pairs.len(), |i| {
         let pair = &capture.pairs[i];
         // B1: demosaic each raw view
         let reference = preprocess::preprocess(&pair.reference_raw);
         let neighbour = preprocess::preprocess(&pair.neighbour_raw);
-        // B2: rectify
-        let aligned = align::align_pair(&reference, &neighbour, &pair.calibration);
+        // B2: rectify the neighbour; the reference view moves in as is
+        let aligned = align::AlignedPair {
+            neighbour: align::rectify(&neighbour, &pair.calibration),
+            reference,
+        };
         // B3: bilateral-space stereo
         let depth = depth::estimate_depth(&aligned, capture.max_disparity);
         PairDepth {

@@ -13,12 +13,10 @@
 //! [`PipelineConfig::from_configuration`] convert between the two
 //! representations.
 
+use crate::analysis::VrModel;
 use crate::backend::DepthBackend;
 use core::fmt;
-use incam_core::block::{BlockSpec, DataTransform};
-use incam_core::explore::{Binding, BlockSpace, Configuration, PipelineSpace};
-use incam_core::pipeline::Source;
-use incam_core::units::{Bytes, Fps};
+use incam_core::explore::Configuration;
 
 /// One Fig. 10 configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,38 +28,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The *shape* of the VR configuration space: four blocks with the
-    /// paper's binding multiplicities (B1, B2 fixed to the CPU engines;
-    /// B3 and B4 one binding per [`DepthBackend`]), with placeholder
-    /// costs. Enumeration-only uses — the paper set, cardinality
-    /// checks — need the shape, not the calibrated numbers (those live in
-    /// `VrModel::binding_space`).
-    pub fn shape_space() -> PipelineSpace {
-        let depth_bindings = || {
-            DepthBackend::ALL
-                .iter()
-                .map(|&b| Binding::new(b.core(), Fps::new(1.0)))
-                .collect()
-        };
-        PipelineSpace::new(Source::new("S", Bytes::new(1.0), Fps::new(1.0)))
-            .with_block(BlockSpace::new(
-                BlockSpec::core("B1", DataTransform::Identity),
-                vec![Binding::new(incam_core::block::Backend::Cpu, Fps::new(1.0))],
-            ))
-            .with_block(BlockSpace::new(
-                BlockSpec::core("B2", DataTransform::Identity),
-                vec![Binding::new(incam_core::block::Backend::Cpu, Fps::new(1.0))],
-            ))
-            .with_block(BlockSpace::new(
-                BlockSpec::core("B3", DataTransform::Identity),
-                depth_bindings(),
-            ))
-            .with_block(BlockSpace::new(
-                BlockSpec::core("B4", DataTransform::Identity),
-                depth_bindings(),
-            ))
-    }
-
     /// The paper's pruning predicate: stitching runs on the same device
     /// as depth estimation, so when both are in-camera (cut 4) their
     /// binding indices must agree. Blocks past the cut execute in the
@@ -71,11 +37,13 @@ impl PipelineConfig {
     }
 
     /// The paper's nine configurations, in figure order: the distinct
-    /// enumeration of the VR space under [`PipelineConfig::paper_coupling`]
-    /// (cut-major, binding indices in [`DepthBackend::ALL`] order —
-    /// exactly how Fig. 10 arranges its bars).
+    /// enumeration of [`VrModel::binding_space`] under
+    /// [`PipelineConfig::paper_coupling`] (cut-major, binding indices in
+    /// [`DepthBackend::ALL`] order — exactly how Fig. 10 arranges its
+    /// bars).
     pub fn paper_set() -> Vec<PipelineConfig> {
-        Self::shape_space()
+        VrModel::paper_default()
+            .binding_space()
             .distinct_configurations()
             .filter(Self::paper_coupling)
             .map(|c| Self::from_configuration(&c))
@@ -229,8 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_set_is_a_view_over_the_shape_space() {
-        let space = PipelineConfig::shape_space();
+    fn paper_set_is_a_view_over_the_binding_space() {
+        let space = VrModel::paper_default().binding_space();
         // 1 x 1 x 3 x 3 bindings, 5 cuts
         assert_eq!(space.cardinality(), 45);
         // cuts 0-2: one config each; cut 3: three; cut 4: nine
