@@ -25,7 +25,7 @@ use incam_imaging::integral::IntegralImage;
 use incam_imaging::resample::{resize_bilinear_reference, BilinearSampler};
 use incam_imaging::scenes::{stereo_scene, SecurityScene, SecuritySceneConfig};
 use incam_nn::mlp::{ActivationBuffers, Mlp};
-use incam_nn::quant::ForwardScratch;
+use incam_nn::quant::{ForwardScratch, QuantizedMlp};
 use incam_nn::sigmoid::Sigmoid;
 use incam_nn::topology::Topology;
 use incam_rng::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -158,7 +158,9 @@ fn bench_viola(c: &mut Criterion) {
 /// Batched MLP forward: flat tiled matmul vs independent per-example
 /// forwards. Packed forward at the verify head's shape (400 → 64 → 32):
 /// weights packed once and 256 inputs run through reused buffers vs
-/// `Mlp::forward` per input.
+/// `Mlp::forward` per input. Quantized forward at the FA authenticator's
+/// shape and 8-bit datapath (400 → 8 → 1): i16 codes and i32 partial sums
+/// in reused scratch vs the allocating i64 loop, over the same 256 inputs.
 fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let net = Mlp::random(Topology::new(vec![400, 8, 1]), &mut rng);
@@ -191,6 +193,27 @@ fn bench_nn(c: &mut Criterion) {
             b.iter(|| {
                 batch.iter().fold(0.0f32, |sum, x| {
                     sum + head.forward(black_box(x), &Sigmoid::Exact)[0]
+                })
+            })
+        });
+    });
+    let quantized = QuantizedMlp::from_mlp(&net, 8, Sigmoid::lut256());
+    let id = "quantized_forward_400x8x1";
+    group.bench_function(BenchmarkId::new(id, "after"), |b| {
+        let mut scratch = ForwardScratch::default();
+        single_thread(|| {
+            b.iter(|| {
+                batch.iter().fold(0.0f32, |sum, x| {
+                    sum + quantized.forward_into(black_box(x), &mut scratch)[0]
+                })
+            })
+        });
+    });
+    group.bench_function(BenchmarkId::new(id, "before"), |b| {
+        single_thread(|| {
+            b.iter(|| {
+                batch.iter().fold(0.0f32, |sum, x| {
+                    sum + quantized.forward_reference(black_box(x))[0]
                 })
             })
         });

@@ -1,8 +1,10 @@
 //! Kernel determinism smoke: runs each of the eight reworked hot kernels
 //! (separable convolution, integral image, bilateral grid pipeline,
 //! Viola-Jones scan, batched MLP forward, stereo block matching, FA window
-//! scoring, verify window alignment and embedding) on deterministic
-//! workloads and prints an order-sensitive FNV-1a digest of every output.
+//! scoring at the 8- and 16-bit datapath widths, verify window alignment
+//! and embedding) on deterministic workloads and prints an
+//! order-sensitive FNV-1a digest of every output, one line each: nine
+//! lines.
 //!
 //! The CI `kernels` gate runs this experiment twice at `INCAM_THREADS=1`
 //! and once at `INCAM_THREADS=4` and byte-compares the transcripts —
@@ -202,33 +204,34 @@ pub fn run(seed: u64, quick: bool) -> String {
     // 7. FA window scoring: a stride-4 grid of windows at the NN's input
     //    side and around it (12 is upsampled), each sampled straight from
     //    the pattern and scored by the fixed-point forward, in one reused
-    //    scratch, against crop → resize and the allocating forward
-    let auth = QuantizedMlp::from_mlp(
-        &Mlp::random(Topology::paper_default(), &mut rng),
-        8,
-        Sigmoid::lut256(),
-    );
-    let n = 20;
-    let mut sampler = BilinearSampler::default();
-    let mut window = vec![0.0; n * n];
-    let mut scratch = ForwardScratch::default();
-    let mut fa_ok = true;
-    let mut f = Digest::new();
-    for side in [12, 20, 24, 32, 44] {
-        for y in (0..=h - side).step_by(4) {
-            for x in (0..=w - side).step_by(4) {
-                sampler.sample_into(&img, (x, y, side, side), (n, n), &mut window);
-                let score = auth.forward_into(&window, &mut scratch)[0];
-                let reference = resize_bilinear_reference(&img.crop(x, y, side, side), n, n);
-                fa_ok &= window == reference.pixels()
-                    && score == auth.forward_reference(reference.pixels())[0];
-                for &v in window.iter().chain([&score]) {
-                    f.write_f32(v);
+    //    scratch, against crop → resize and the allocating forward; once
+    //    on the paper's 8-bit datapath, whose rows are one i32 partial sum
+    //    each, and once at 16 bits, whose rows sum many short chunks
+    let float_auth = Mlp::random(Topology::paper_default(), &mut rng);
+    for (name, bits) in [("fa-window", 8), ("fa-window-q16", 16)] {
+        let auth = QuantizedMlp::from_mlp(&float_auth, bits, Sigmoid::lut256());
+        let n = 20;
+        let mut sampler = BilinearSampler::default();
+        let mut window = vec![0.0; n * n];
+        let mut scratch = ForwardScratch::default();
+        let mut fa_ok = true;
+        let mut f = Digest::new();
+        for side in [12, 20, 24, 32, 44] {
+            for y in (0..=h - side).step_by(4) {
+                for x in (0..=w - side).step_by(4) {
+                    sampler.sample_into(&img, (x, y, side, side), (n, n), &mut window);
+                    let score = auth.forward_into(&window, &mut scratch)[0];
+                    let reference = resize_bilinear_reference(&img.crop(x, y, side, side), n, n);
+                    fa_ok &= window == reference.pixels()
+                        && score == auth.forward_reference(reference.pixels())[0];
+                    for &v in window.iter().chain([&score]) {
+                        f.write_f32(v);
+                    }
                 }
             }
         }
+        report(name, f.finish(), fa_ok);
     }
-    report("fa-window", f.finish(), fa_ok);
 
     // 8. verify window: eye pairs on a fixed grid of magnifications (at
     //    or below 1, where no blur runs, and 1.2-3.5) and small rotations

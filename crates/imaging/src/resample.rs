@@ -2,7 +2,8 @@
 //!
 //! Used by the FA pipeline, which samples every NN window straight from
 //! the frame, by the NN training-set generators, and by the MS-SSIM
-//! pyramid.
+//! pyramid. [`BilinearSampler`] interpolates each source row a window
+//! reads once, in a row pass, and blends the rows in contiguous sweeps.
 
 use crate::image::GrayImage;
 
@@ -36,11 +37,16 @@ fn fill_taps(taps: &mut Vec<Tap>, len: usize, out_len: usize) {
 /// A bilinear sampler that reads a rectangle of an image straight into a
 /// caller-owned buffer.
 ///
-/// It owns its per-axis tap tables, so a sampler reused across calls
-/// allocates nothing once the tables have grown to the largest output
-/// size. Taps are clamped to the rectangle, not the image, which makes a
-/// sampled rectangle bit-identical to cropping it and then resizing the
-/// crop.
+/// It runs in two passes. The row pass interpolates the source rows the
+/// output reads along x, each into one of the two rows of a buffer; the
+/// taps never decrease, so a source row stays in the buffer for as long
+/// as output rows read it. The column pass blends each output row from
+/// its two interpolated source rows in one contiguous sweep. The sampler
+/// owns its per-axis tap tables, kept while the rectangle and output
+/// sizes repeat, and the two-row buffer, so a sampler reused across calls
+/// allocates nothing once these have grown to the widest output. Taps are
+/// clamped to the rectangle, not the image, which makes a sampled
+/// rectangle bit-identical to cropping it and then resizing the crop.
 ///
 /// # Examples
 ///
@@ -58,6 +64,10 @@ fn fill_taps(taps: &mut Vec<Tap>, len: usize, out_len: usize) {
 pub struct BilinearSampler {
     x: Vec<Tap>,
     y: Vec<Tap>,
+    /// The `(w, h, out_w, out_h)` the taps were filled for.
+    sizes: (usize, usize, usize, usize),
+    /// Two x-interpolated source rows of `out_w` values each.
+    rows: Vec<f32>,
 }
 
 impl BilinearSampler {
@@ -88,17 +98,41 @@ impl BilinearSampler {
             img.height()
         );
         assert_eq!(dst.len(), out_w * out_h, "destination length mismatch");
-        fill_taps(&mut self.x, w, out_w);
-        fill_taps(&mut self.y, h, out_h);
+        if self.sizes != (w, h, out_w, out_h) {
+            fill_taps(&mut self.x, w, out_w);
+            fill_taps(&mut self.y, h, out_h);
+            self.sizes = (w, h, out_w, out_h);
+            self.rows.resize(2 * out_w, 0.0);
+        }
+        let (mut a, mut b) = self.rows.split_at_mut(out_w);
+        // the source rows `a` and `b` hold
+        let (mut in_a, mut in_b) = (usize::MAX, usize::MAX);
+        let source = |i: usize| &img.row(ry + i)[rx..rx + w];
         for (row, ty) in dst.chunks_exact_mut(out_w).zip(&self.y) {
-            let r0 = &img.row(ry + ty.i0)[rx..rx + w];
-            let r1 = &img.row(ry + ty.i1)[rx..rx + w];
-            for (d, tx) in row.iter_mut().zip(&self.x) {
-                let top = r0[tx.i0] * (1.0 - tx.t) + r0[tx.i1] * tx.t;
-                let bot = r1[tx.i0] * (1.0 - tx.t) + r1[tx.i1] * tx.t;
+            if in_a != ty.i0 {
+                if in_b == ty.i0 {
+                    std::mem::swap(&mut a, &mut b);
+                    std::mem::swap(&mut in_a, &mut in_b);
+                } else {
+                    interpolate_row(source(ty.i0), &self.x, a);
+                    in_a = ty.i0;
+                }
+            }
+            if in_b != ty.i1 {
+                interpolate_row(source(ty.i1), &self.x, b);
+                in_b = ty.i1;
+            }
+            for ((d, &top), &bot) in row.iter_mut().zip(&*a).zip(&*b) {
                 *d = top * (1.0 - ty.t) + bot * ty.t;
             }
         }
+    }
+}
+
+/// The row pass: `src` interpolated along x at `taps` into `dst`.
+fn interpolate_row(src: &[f32], taps: &[Tap], dst: &mut [f32]) {
+    for (d, tx) in dst.iter_mut().zip(taps) {
+        *d = src[tx.i0] * (1.0 - tx.t) + src[tx.i1] * tx.t;
     }
 }
 

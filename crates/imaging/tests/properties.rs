@@ -256,9 +256,12 @@ proptest! {
     /// Sampling a rectangle straight from the image is bit-identical to
     /// cropping it and resizing the crop with the original per-pixel
     /// formulation: on images up to 64×64, rectangles down to one pixel on
-    /// a side, output sizes above and below the rectangle's, and a sampler
-    /// whose tap tables a different shape left behind. The whole-image
-    /// wrapper `resize_bilinear` matches the reference too.
+    /// a side, output sizes above and below the rectangle's, a sampler
+    /// whose tap tables a different shape left behind, and then the
+    /// rectangle's width, its height, the output width and the output
+    /// height changed one at a time, so taps the sampler keeps are checked
+    /// against every size. The whole-image wrapper `resize_bilinear`
+    /// matches the reference too.
     #[test]
     fn sampler_bitwise_equal_crop_then_resize_reference(
         dims in (1usize..=64, 1usize..=64),
@@ -277,22 +280,31 @@ proptest! {
         let (ow, oh) = out;
 
         let mut sampler = BilinearSampler::default();
-        let mut dst = vec![0.0; oh * ow];
-        sampler.sample_into(&img, (0, 0, w, h), (oh, ow), &mut dst);
-        sampler.sample_into(&img, (x, y, rw, rh), (ow, oh), &mut dst);
-        let reference = resize_bilinear_reference(&img.crop(x, y, rw, rh), ow, oh);
-        for (a, b) in dst.iter().zip(reference.pixels()) {
-            prop_assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "rect {}x{}+{}+{} -> {}x{}",
-                rw,
-                rh,
-                x,
-                y,
-                ow,
-                oh
-            );
+        sampler.sample_into(&img, (0, 0, w, h), (oh, ow), &mut vec![0.0; oh * ow]);
+        let (rw2, rh2) = (1 + rw % (w - x), 1 + rh % (h - y));
+        for (rw, rh, ow, oh) in [
+            (rw, rh, ow, oh),
+            (rw2, rh, ow, oh),
+            (rw2, rh2, ow, oh),
+            (rw2, rh2, ow + 1, oh),
+            (rw2, rh2, ow + 1, oh + 1),
+        ] {
+            let mut dst = vec![0.0; oh * ow];
+            sampler.sample_into(&img, (x, y, rw, rh), (ow, oh), &mut dst);
+            let reference = resize_bilinear_reference(&img.crop(x, y, rw, rh), ow, oh);
+            for (a, b) in dst.iter().zip(reference.pixels()) {
+                prop_assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "rect {}x{}+{}+{} -> {}x{}",
+                    rw,
+                    rh,
+                    x,
+                    y,
+                    ow,
+                    oh
+                );
+            }
         }
         let whole = resize_bilinear(&img, ow, oh);
         let whole_reference = resize_bilinear_reference(&img, ow, oh);

@@ -8,6 +8,20 @@
 //! level: weights and activations are signed fixed-point integers, MACs
 //! accumulate in a wide integer register (26 bits in the paper's PE,
 //! Fig. 3), and activations go through the hardware sigmoid LUT.
+//!
+//! The host model runs at the datapath's own width. A [`QuantizedMlp`]
+//! models 2- to 16-bit datapaths, so its weight and activation codes are
+//! `i16`. [`QuantizedMlp::forward_into`] sums each neuron's products in
+//! `i32` partial sums, one per chunk of its inputs, and adds the chunk
+//! sums to the bias in an `i64` accumulator, the register
+//! [`QuantizedMlp::peak_accumulator_bits`] reads. Quantizing fixes each
+//! layer's chunk length: the most inputs `n` with
+//! `n · w · 2^(bits−1) <= i32::MAX`, where `w` is the layer's widest
+//! weight code and `2^(bits−1)` the widest activation code magnitude, so
+//! no partial sum can overflow. On the paper's 8-bit datapath a chunk is
+//! longer than any layer's fan-in and each row is one `i32` sum; at
+//! 16 bits a chunk holds from one input (every code at a rail) to a few
+//! dozen.
 
 use crate::mlp::Mlp;
 use crate::sigmoid::Sigmoid;
@@ -119,6 +133,39 @@ impl QFormat {
         (t + i64::from(f >= 0.5) - i64::from(f <= -0.5)).clamp(lo, hi)
     }
 
+    /// [`QFormat::round_saturating`] for formats of at most 16 bits, as an
+    /// `i16`, in a form that vectorizes. A saturating float-to-integer
+    /// `as` cast compiles to one scalar `cvttss2si` per value on the
+    /// baseline x86-64 target, so the integer is read from the float's
+    /// bits instead.
+    #[inline]
+    fn round_code(self, scaled: f32) -> i16 {
+        // 1.5 · 2^23: for |v| < 2^22, `v + MAGIC` lies in [2^23, 2^24),
+        // where the f32 spacing is 1, so the add rounds `v` to an integer
+        // (ties to even) and the bit patterns of `v + MAGIC` and `MAGIC`
+        // differ by exactly that integer.
+        const MAGIC: f32 = 12_582_912.0;
+        let (lo, hi) = (self.min_code() as f32, self.max_code() as f32);
+        // |v| <= 2^15 after the clamp; NaN passes it
+        let v = scaled.clamp(lo, hi);
+        let even = (v + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32;
+        // exact, as both are small; ±0.5 only at a tie
+        let d = v - even as f32;
+        // a tie rounded toward zero moves one step away from it
+        let away = i32::from(d == 0.5 && v > 0.0) - i32::from(d == -0.5 && v < 0.0);
+        if v.is_nan() {
+            0
+        } else {
+            (even + away) as i16 // incam-lint: allow(lossy-cast) — the clamp keeps the code in [min_code, max_code], at most 16 bits
+        }
+    }
+
+    /// `1 / resolution`, a power of two: multiplying by it is exact and
+    /// gives the same f32 as dividing by the resolution.
+    fn scale(self) -> f32 {
+        (2.0f32).powi(self.frac_bits as i32)
+    }
+
     /// Reconstructs the real value of a code.
     pub fn dequantize(self, code: i64) -> f32 {
         code as f32 * self.resolution()
@@ -135,13 +182,18 @@ impl QFormat {
 pub struct QuantizedLayer {
     inputs: usize,
     outputs: usize,
-    weights: Vec<i64>,
+    /// Weight codes, row-major by neuron (at most 16 bits each).
+    weights: Vec<i16>,
     /// Biases pre-scaled to the accumulator's fixed-point position
     /// (`weight_frac + activation_frac`).
     biases: Vec<i64>,
     /// This layer's weight format (fitted per layer, as each PE's weight
     /// SRAM holds one layer's parameters).
     weight_format: QFormat,
+    /// Inputs per `i32` partial sum: the most products of this layer's
+    /// widest weight code and the widest activation code whose sum fits
+    /// an `i32`.
+    chunk: usize,
 }
 
 impl QuantizedLayer {
@@ -157,7 +209,7 @@ impl QuantizedLayer {
 
     /// Integer weight of input `i` into neuron `o`.
     pub fn weight(&self, o: usize, i: usize) -> i64 {
-        self.weights[o * self.inputs + i]
+        i64::from(self.weights[o * self.inputs + i])
     }
 
     /// Accumulator-scaled integer bias of neuron `o`.
@@ -197,8 +249,9 @@ impl QuantizedMlp {
     ///
     /// # Panics
     ///
-    /// Panics if `data_bits < 2`.
+    /// Panics if `data_bits` is not in `2..=16`.
     pub fn from_mlp(net: &Mlp, data_bits: u32, sigmoid: Sigmoid) -> Self {
+        assert!((2..=16).contains(&data_bits), "data_bits must be in 2..=16");
         let activation_format = QFormat::new(data_bits, data_bits - 1);
         let layers: Vec<QuantizedLayer> = net
             .layers()
@@ -211,20 +264,27 @@ impl QuantizedMlp {
                     .fold(0.0f32, |m, &w| m.max(w.abs()));
                 let weight_format = QFormat::fit(data_bits, max_abs);
                 let bias_frac = weight_format.frac_bits() + activation_format.frac_bits();
+                let scale = weight_format.scale();
+                let weights: Vec<i16> = l
+                    .weights()
+                    .iter()
+                    .map(|&w| weight_format.round_code(w * scale))
+                    .collect();
+                // |w·x| <= 2^15 · 2^15 = 2^30, so a chunk holds at least one
+                // product
+                let widest = weights.iter().map(|w| w.unsigned_abs()).fold(1, u16::max);
+                let product = u64::from(widest) * activation_format.min_code().unsigned_abs();
                 QuantizedLayer {
                     inputs: l.inputs(),
                     outputs: l.outputs(),
-                    weights: l
-                        .weights()
-                        .iter()
-                        .map(|&w| weight_format.quantize(w))
-                        .collect(),
+                    weights,
                     biases: l
                         .biases()
                         .iter()
                         .map(|&b| (b as f64 * (1i64 << bias_frac) as f64).round() as i64)
                         .collect(),
                     weight_format,
+                    chunk: (i32::MAX as u64 / product) as usize,
                 }
             })
             .collect();
@@ -302,29 +362,31 @@ impl QuantizedMlp {
     pub fn forward_into<'s>(&self, input: &[f32], scratch: &'s mut ForwardScratch) -> &'s [f32] {
         assert_eq!(input.len(), self.topology.inputs(), "input width mismatch");
         let format = self.activation_format;
-        let resolution = format.resolution();
+        let scale = format.scale();
         let ForwardScratch {
             activation,
             next,
             output,
         } = scratch;
-        activation.clear();
-        activation.extend(
-            input
-                .iter()
-                .map(|&x| format.round_saturating(x / resolution)),
-        );
+        // a loop over the slice vectorizes; `extend` through the Vec runs
+        // the rounding one value at a time
+        activation.resize(input.len(), 0);
+        for (code, &x) in activation.iter_mut().zip(input) {
+            *code = format.round_code(x * scale);
+        }
         let mut peak = 0;
         for layer in &self.layers {
             let acc_scale = layer.weight_format.frac_bits() + format.frac_bits();
             let acc_lsb = (2.0f64).powi(-(acc_scale as i32));
             next.clear();
+            next.reserve(layer.outputs);
             output.clear();
+            output.reserve(layer.outputs);
             for (row, &bias) in layer.weights.chunks_exact(layer.inputs).zip(&layer.biases) {
-                let acc = bias + dot(row, activation);
+                let acc = bias + dot(row, activation, layer.chunk);
                 peak = peak.max(64 - acc.unsigned_abs().leading_zeros());
                 let a = self.sigmoid.eval((acc as f64 * acc_lsb) as f32);
-                next.push(format.round_saturating(a / resolution));
+                next.push(format.round_code(a * scale));
                 output.push(a);
             }
             std::mem::swap(activation, next);
@@ -356,8 +418,8 @@ impl QuantizedMlp {
             for o in 0..layer.outputs {
                 let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
                 let mut acc: i64 = layer.biases[o];
-                for (w, x) in row.iter().zip(&activation) {
-                    acc += w * x;
+                for (&w, x) in row.iter().zip(&activation) {
+                    acc += i64::from(w) * x;
                 }
                 let mag_bits = 64 - acc.unsigned_abs().leading_zeros();
                 if mag_bits > self.peak_accumulator_bits.get() {
@@ -379,32 +441,35 @@ impl QuantizedMlp {
 
 /// Reusable buffers for [`QuantizedMlp::forward_into`]. One scratch serves
 /// networks of any shape; it grows to the widest layer it has seen.
+///
+/// The activation codes are `i16`, the width of the widest datapath a
+/// [`QuantizedMlp`] models; the forward widens each product to `i32` and
+/// each chunk sum to `i64` (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
-    activation: Vec<i64>,
-    next: Vec<i64>,
+    activation: Vec<i16>,
+    next: Vec<i16>,
     output: Vec<f32>,
 }
 
-/// `Σ w·x` over a weight row and the activations, summed in four
-/// independent lanes. Integer sums are exact in any order, so the lanes
-/// give the sequential loop's result while breaking its dependency chain.
+/// `Σ w·x` over a weight row and the activations: each `chunk` of
+/// products is summed in an `i32`, which the layer's chunk length keeps
+/// from overflowing, and the chunk sums meet in an `i64`. Integer sums
+/// are exact in any order, so this is the sequential `i64` loop's result;
+/// the `i32` chunk sum of `i16` products vectorizes to `pmaddwd`.
 #[inline]
-fn dot(row: &[i64], activation: &[i64]) -> i64 {
-    let (w4, x4) = (row.chunks_exact(4), activation.chunks_exact(4));
-    let tail: i64 = w4
-        .remainder()
-        .iter()
-        .zip(x4.remainder())
-        .map(|(w, x)| w * x)
-        .sum();
-    let mut lanes = [0i64; 4];
-    for (w, x) in w4.zip(x4) {
-        for k in 0..4 {
-            lanes[k] += w[k] * x[k];
-        }
-    }
-    lanes.iter().sum::<i64>() + tail
+fn dot(row: &[i16], activation: &[i16], chunk: usize) -> i64 {
+    row.chunks(chunk)
+        .zip(activation.chunks(chunk))
+        .map(|(w, x)| {
+            let sum: i32 = w
+                .iter()
+                .zip(x)
+                .map(|(&w, &x)| i32::from(w) * i32::from(x))
+                .sum();
+            i64::from(sum)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -476,6 +541,51 @@ mod tests {
             "accumulator needed {} bits",
             q.peak_accumulator_bits()
         );
+    }
+
+    #[test]
+    fn partial_sums_stay_exact_at_the_rails() {
+        // every weight at one rail and every input at the negative rail:
+        // each product is as wide as the layer's chunk length allows, so
+        // a chunk one input too long overflows its i32 sum (a panic under
+        // the test profile's overflow checks)
+        let mut rng = StdRng::seed_from_u64(5);
+        let input = vec![-1.0f32; 1024];
+        let mut scratch = ForwardScratch::default();
+        for bits in [8, 16] {
+            for extreme in [-1.0f32, 1.0] {
+                let mut net = Mlp::random(Topology::new(vec![1024, 3, 1]), &mut rng);
+                for layer in net.layers_mut() {
+                    layer.weights_mut().fill(extreme);
+                    layer.biases_mut().fill(0.0);
+                }
+                let fast = QuantizedMlp::from_mlp(&net, bits, Sigmoid::lut256());
+                let rail = if extreme < 0.0 {
+                    fast.weight_format().min_code()
+                } else {
+                    fast.weight_format().max_code()
+                };
+                assert_eq!(fast.layers()[0].weight(2, 1023), rail);
+                let reference = fast.clone();
+                let a = fast.forward_into(&input, &mut scratch).to_vec();
+                let b = reference.forward_reference(&input);
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{bits} bits at {extreme}");
+                }
+                assert_eq!(
+                    fast.peak_accumulator_bits(),
+                    reference.peak_accumulator_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "data_bits")]
+    fn datapath_past_16_bits_rejected() {
+        let net = Mlp::random(Topology::new(vec![4, 1]), &mut StdRng::seed_from_u64(1));
+        let _ = QuantizedMlp::from_mlp(&net, 17, Sigmoid::lut256());
     }
 
     #[test]

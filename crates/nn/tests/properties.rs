@@ -10,10 +10,19 @@ use incam_rng::rngs::StdRng;
 use incam_rng::SeedableRng;
 
 /// Scaled values where `roundf` and saturation are easiest to get wrong:
-/// signed zeros, NaN, infinities, exact ties, and the neighbourhoods of
-/// ±2^23 (where f32 stops holding fractions) and ±2^31 (the widest code).
+/// signed zeros, NaNs (with and without a payload, either sign),
+/// infinities, exact ties, and the neighbourhoods of ±2^23 (where f32
+/// stops holding fractions) and ±2^31 (the widest code).
 fn quantize_edges() -> Vec<f32> {
-    let mut edges = vec![0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::from_bits(0x7f80_0001),
+        f32::from_bits(0xffc0_8001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
     for k in [
         0.0f32,
         1.0,
@@ -149,8 +158,10 @@ proptest! {
     /// The scratch forward is bit-identical to the original allocating
     /// loop, in its outputs and in `peak_accumulator_bits`: over 1–3
     /// layers with fan-ins that are not multiples of four, 2- to 16-bit
-    /// datapaths, both sigmoids, inputs outside [0, 1], and one scratch
-    /// that a network of another shape used first.
+    /// datapaths, both sigmoids, inputs outside [0, 1], every edge value
+    /// of `quantize_edges` in LSB units of the activation format (exact
+    /// ties, both rails, ±0, NaN and ±∞), and one scratch that a network
+    /// of another shape used first.
     #[test]
     fn forward_into_bitwise_equal_reference(
         layers in prop::collection::vec(1usize..41, 2..5),
@@ -167,8 +178,14 @@ proptest! {
         let other = QuantizedMlp::from_mlp(&other, 8, Sigmoid::lut256());
         let mut scratch = ForwardScratch::default();
         let _ = other.forward_into(&[0.7; 23], &mut scratch);
-        for _ in 0..4 {
-            let input: Vec<f32> = (0..layers[0]).map(|_| rng.gen_range(-3.0..3.0f32)).collect();
+        let width = layers[0];
+        let random = (0..4).map(|_| -> Vec<f32> {
+            (0..width).map(|_| rng.gen_range(-3.0..3.0f32)).collect()
+        });
+        let lsb = fast.activation_format().resolution();
+        let edges: Vec<f32> = quantize_edges().iter().map(|&e| e * lsb).collect();
+        let edge = edges.chunks(width).map(|c| c.iter().copied().cycle().take(width).collect());
+        for input in random.chain(edge) {
             let a = fast.forward_into(&input, &mut scratch).to_vec();
             let b = reference.forward_reference(&input);
             prop_assert_eq!(a.len(), b.len());

@@ -23,7 +23,7 @@ use incam_core::units::Hertz;
 pub struct SnnapConfig {
     /// Number of processing elements in the processing unit.
     pub num_pes: usize,
-    /// Datapath width in bits (weights and activations).
+    /// Datapath width in bits (weights and activations), 2 to 16.
     pub data_bits: u32,
     /// Sigmoid LUT entry count.
     pub sigmoid_entries: usize,
@@ -70,12 +70,16 @@ impl SnnapConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any field is out of range.
+    /// Panics if any field is out of range: no PE, `data_bits` outside
+    /// `2..=16` (the widths
+    /// [`QuantizedMlp::from_mlp`](incam_nn::quant::QuantizedMlp::from_mlp)
+    /// models), fewer than two sigmoid LUT entries, a clock that is not
+    /// positive, or a voltage outside `0.4..=1.5` V.
     pub fn validate(&self) {
         assert!(self.num_pes >= 1, "need at least one PE");
         assert!(
-            (2..=32).contains(&self.data_bits),
-            "data_bits must be in 2..=32"
+            (2..=16).contains(&self.data_bits),
+            "data_bits must be in 2..=16"
         );
         assert!(self.sigmoid_entries >= 2, "sigmoid LUT needs >= 2 entries");
         assert!(self.clock.hertz() > 0.0, "clock must be positive");
@@ -114,5 +118,11 @@ mod tests {
     #[should_panic(expected = "data_bits")]
     fn absurd_bits_invalid() {
         SnnapConfig::paper_default().with_bits(64).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "data_bits")]
+    fn bits_past_the_quantized_model_invalid() {
+        SnnapConfig::paper_default().with_bits(17).validate();
     }
 }
