@@ -139,6 +139,7 @@ step "bench harness smoke (2 samples)"
 # INCAM_BENCH_DIR keeps smoke output away from the committed
 # BENCH_*.json baselines (default dir is the package).
 INCAM_BENCH_SAMPLES=2 INCAM_BENCH_DIR="$tmpdir" cargo bench --offline -p incam-bench --bench explore
+INCAM_BENCH_SAMPLES=2 INCAM_BENCH_DIR="$tmpdir" cargo bench --offline -p incam-bench --bench kernels
 
 step "benchmark smoke (BENCHMARK.json driver, every workload once)"
 # The benchmark is a stand-alone package outside the workspace, so the

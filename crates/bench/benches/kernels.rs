@@ -1,6 +1,6 @@
 //! Before/after microbenchmarks for the hot-kernel speed pass: each of
 //! the reworked kernels (separable convolution, integral image,
-//! bilateral grid pipeline, Viola-Jones scan, batched and packed MLP
+//! bilateral grid pipeline, Viola-Jones scan, packed and quantized MLP
 //! forward, stereo block matching, FA window scoring, verify alignment,
 //! VR pre-processing and stitching) is measured against the original
 //! formulation it replaced, which every crate keeps as a `*_reference`
@@ -155,12 +155,12 @@ fn bench_viola(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched MLP forward: flat tiled matmul vs independent per-example
-/// forwards. Packed forward at the verify head's shape (400 → 64 → 32):
-/// weights packed once and 256 inputs run through reused buffers vs
-/// `Mlp::forward` per input. Quantized forward at the FA authenticator's
-/// shape and 8-bit datapath (400 → 8 → 1): i16 codes and i32 partial sums
-/// in reused scratch vs the allocating i64 loop, over the same 256 inputs.
+/// Packed forward at the verify head's shape (400 → 64 → 32): weights
+/// packed once into 16-neuron groups and 256 inputs run through reused
+/// buffers vs `Mlp::forward` per input. Quantized forward at the FA
+/// authenticator's shape and 8-bit datapath (400 → 8 → 1): i16 codes and
+/// i32 partial sums in reused scratch vs the allocating i64 loop, over
+/// the same 256 inputs.
 fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let net = Mlp::random(Topology::new(vec![400, 8, 1]), &mut rng);
@@ -169,14 +169,6 @@ fn bench_nn(c: &mut Criterion) {
         .collect();
     let head = Mlp::random(Topology::new(vec![400, 64, 32]), &mut rng);
     let mut group = c.benchmark_group("nn");
-    group.bench_function(BenchmarkId::new("forward_batch_256x400", "after"), |b| {
-        single_thread(|| b.iter(|| net.forward_batch(black_box(&batch), &Sigmoid::Exact)));
-    });
-    group.bench_function(BenchmarkId::new("forward_batch_256x400", "before"), |b| {
-        single_thread(|| {
-            b.iter(|| net.forward_batch_reference(black_box(&batch), &Sigmoid::Exact))
-        });
-    });
     group.bench_function(BenchmarkId::new("forward_400x64x32", "after"), |b| {
         let packed = head.pack();
         let mut buffers = ActivationBuffers::default();

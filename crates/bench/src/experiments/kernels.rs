@@ -1,10 +1,12 @@
 //! Kernel determinism smoke: runs each of the eight reworked hot kernels
 //! (separable convolution, integral image, bilateral grid pipeline,
-//! Viola-Jones scan, batched MLP forward, stereo block matching, FA window
+//! Viola-Jones scan, packed MLP forward, stereo block matching, FA window
 //! scoring at the 8- and 16-bit datapath widths, verify window alignment
 //! and embedding) on deterministic workloads and prints an
 //! order-sensitive FNV-1a digest of every output, one line each: nine
-//! lines.
+//! lines. The packed forward's line keeps the `forward-batch` label of
+//! the batch forward it replaced, whose outputs it digests bit for bit,
+//! because the transcript is pinned.
 //!
 //! The CI `kernels` gate runs this experiment twice at `INCAM_THREADS=1`
 //! and once at `INCAM_THREADS=4` and byte-compares the transcripts —
@@ -22,13 +24,13 @@ use incam_auth::space::WINDOW_SIDE;
 use incam_bilateral::grid::{BilateralGrid, GridParams};
 use incam_bilateral::stereo::{block_match, block_match_reference, MatchParams};
 use incam_imaging::convolve::{
-    convolve_h, convolve_h_reference, convolve_separable, convolve_separable_reference, convolve_v,
-    convolve_v_reference, gaussian_kernel,
+    convolve_h_reference, convolve_separable, convolve_separable_reference, convolve_v_reference,
+    gaussian_kernel,
 };
 use incam_imaging::image::GrayImage;
 use incam_imaging::integral::IntegralImage;
 use incam_imaging::resample::{resize_bilinear_reference, BilinearSampler};
-use incam_nn::mlp::Mlp;
+use incam_nn::mlp::{ActivationBuffers, Mlp};
 use incam_nn::quant::{ForwardScratch, QuantizedMlp};
 use incam_nn::sigmoid::Sigmoid;
 use incam_nn::topology::Topology;
@@ -94,14 +96,14 @@ pub fn run(seed: u64, quick: bool) -> String {
         );
     };
 
-    // 1. separable convolution (plus the directional passes)
+    // 1. separable convolution; the digest also covers the horizontal
+    //    and vertical halves of its reference, each run alone on the
+    //    pattern
     let kernel = gaussian_kernel(1.5);
     let conv = convolve_separable(&img, &kernel);
-    let conv_h = convolve_h(&img, &kernel);
-    let conv_v = convolve_v(&img, &kernel);
-    let conv_ok = conv.pixels() == convolve_separable_reference(&img, &kernel).pixels()
-        && conv_h.pixels() == convolve_h_reference(&img, &kernel).pixels()
-        && conv_v.pixels() == convolve_v_reference(&img, &kernel).pixels();
+    let conv_h = convolve_h_reference(&img, &kernel);
+    let conv_v = convolve_v_reference(&img, &kernel);
+    let conv_ok = conv.pixels() == convolve_separable_reference(&img, &kernel).pixels();
     let mut f = Digest::new();
     for &v in conv
         .pixels()
@@ -165,17 +167,20 @@ pub fn run(seed: u64, quick: bool) -> String {
     }
     report("viola-scan", f.finish(), viola_ok);
 
-    // 5. batched MLP forward
+    // 5. packed MLP forward over a batch of 32 inputs, in reused buffers
     let mut rng = StdRng::seed_from_u64(seed);
     let net = Mlp::random(Topology::new(vec![64, 12, 4, 1]), &mut rng);
-    let batch: Vec<Vec<f32>> = (0..32)
-        .map(|_| (0..64).map(|_| rng.gen_range(-1.0..1.0)).collect())
-        .collect();
-    let outputs = net.forward_batch(&batch, &Sigmoid::Exact);
-    let nn_ok = outputs == net.forward_batch_reference(&batch, &Sigmoid::Exact);
+    let packed = net.pack();
+    let mut buffers = ActivationBuffers::default();
+    let mut nn_ok = true;
     let mut f = Digest::new();
-    for &v in outputs.iter().flatten() {
-        f.write_f32(v);
+    for _ in 0..32 {
+        let input: Vec<f32> = (0..64).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let output = packed.forward_into(&input, &Sigmoid::Exact, &mut buffers);
+        nn_ok &= output == net.forward(&input, &Sigmoid::Exact);
+        for &v in output {
+            f.write_f32(v);
+        }
     }
     report("forward-batch", f.finish(), nn_ok);
 

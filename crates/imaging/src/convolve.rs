@@ -1,8 +1,8 @@
 //! Separable convolution and the small set of kernels the workspace needs
 //! (box, Gaussian). Borders use pixel replication.
 //!
-//! Every pass is one sequential sweep over the output rows; the row
-//! pass and the fused separable pass run in reused buffers.
+//! The one fast path is the fused separable pass, one sequential sweep
+//! over the output rows in reused buffers.
 //!
 //! ## Kernel microarchitecture
 //!
@@ -14,8 +14,9 @@
 //! pass (a per-tap sweep over row slices) already does. Per pixel both
 //! passes still evaluate `+0.0 + k0·s0 + k1·s1 + …` in tap order — the
 //! op sequence of the clamped per-pixel formulation (kept as
-//! [`convolve_h_reference`]/[`convolve_v_reference`] for tests and
-//! benches) — so outputs are byte-identical to it.
+//! [`convolve_h_reference`]/[`convolve_v_reference`], the two halves of
+//! [`convolve_separable_reference`], for tests and benches) — so outputs
+//! are byte-identical to it.
 //! [`convolve_separable_into`] fuses the H and V passes through a
 //! rolling ring of H-filtered rows in caller-owned buffers instead of
 //! materializing a full intermediate image per pass;
@@ -44,56 +45,10 @@ fn convolve_row(src: &[f32], kernel: &[f32], pad: &mut [f32], dst: &mut [f32]) {
     }
 }
 
-/// Accumulates the vertical taps of output row `y` into `dst` (which must
-/// start zeroed): one contiguous multiply-add sweep per tap row, clamped
-/// in `y` only. Per pixel this performs `acc = 0; acc += k[i]·row_i[x]`
-/// in tap order — the exact op sequence of the clamped formulation.
-fn convolve_col_into(img: &GrayImage, kernel: &[f32], y: usize, dst: &mut [f32]) {
-    let h = img.height() as isize;
-    let r = (kernel.len() / 2) as isize;
-    for (i, &kv) in kernel.iter().enumerate() {
-        let sy = (y as isize + i as isize - r).clamp(0, h - 1) as usize;
-        for (out, &sv) in dst.iter_mut().zip(img.row(sy)) {
-            *out += kv * sv;
-        }
-    }
-}
-
-/// Convolves `img` with a horizontal 1-D `kernel` (replicate border).
-///
-/// # Panics
-///
-/// Panics if the kernel is empty or of even length.
-pub fn convolve_h(img: &GrayImage, kernel: &[f32]) -> GrayImage {
-    check_kernel(kernel);
-    let (w, h) = img.dims();
-    let mut out = vec![0.0f32; w * h];
-    let mut pad = vec![0.0; w + kernel.len() - 1];
-    for (y, dst) in out.chunks_mut(w).enumerate() {
-        convolve_row(img.row(y), kernel, &mut pad, dst);
-    }
-    GrayImage::from_vec(w, h, out)
-}
-
-/// Convolves `img` with a vertical 1-D `kernel` (replicate border).
-///
-/// # Panics
-///
-/// Panics if the kernel is empty or of even length.
-pub fn convolve_v(img: &GrayImage, kernel: &[f32]) -> GrayImage {
-    check_kernel(kernel);
-    let (w, h) = img.dims();
-    let mut out = vec![0.0f32; w * h];
-    for (y, dst) in out.chunks_mut(w).enumerate() {
-        convolve_col_into(img, kernel, y, dst);
-    }
-    GrayImage::from_vec(w, h, out)
-}
-
 /// Separable convolution: horizontal then vertical pass with the same
 /// 1-D kernel, fused through a ring of H-filtered rows
 /// ([`convolve_separable_into`] on a fresh [`SeparableScratch`]).
-/// Byte-identical to `convolve_v(&convolve_h(img, kernel), kernel)`.
+/// Byte-identical to [`convolve_separable_reference`].
 ///
 /// # Panics
 ///
@@ -167,10 +122,9 @@ fn separable_pass(img: &GrayImage, kernel: &[f32], out: &mut [f32], ring: &mut V
     }
 }
 
-/// The original clamped per-pixel horizontal convolution, kept as the
-/// correctness oracle for the tap-major row pass (proptests pin
-/// [`convolve_h`] bit-equal to it) and as the "before" side of the
-/// kernel microbenchmarks.
+/// The original clamped per-pixel horizontal convolution: the first half
+/// of [`convolve_separable_reference`], the oracle that proptests pin the
+/// fused pass bit-equal to.
 pub fn convolve_h_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let r = (kernel.len() / 2) as isize;
@@ -184,8 +138,8 @@ pub fn convolve_h_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     })
 }
 
-/// The original clamped per-pixel vertical convolution — oracle and
-/// bench baseline for [`convolve_v`]; see [`convolve_h_reference`].
+/// The original clamped per-pixel vertical convolution: the second half
+/// of [`convolve_separable_reference`]; see [`convolve_h_reference`].
 pub fn convolve_v_reference(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     check_kernel(kernel);
     let r = (kernel.len() / 2) as isize;
@@ -323,9 +277,9 @@ mod tests {
     fn horizontal_and_vertical_are_directional() {
         let mut img = GrayImage::zeros(7, 7);
         img.set(3, 3, 1.0);
-        let h = convolve_h(&img, &box_kernel(3));
+        let h = convolve_h_reference(&img, &box_kernel(3));
         assert!(h.get(2, 3) > 0.0 && h.get(3, 2) == 0.0);
-        let v = convolve_v(&img, &box_kernel(3));
+        let v = convolve_v_reference(&img, &box_kernel(3));
         assert!(v.get(3, 2) > 0.0 && v.get(2, 3) == 0.0);
     }
 
@@ -340,6 +294,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "odd")]
     fn even_kernel_rejected() {
-        let _ = convolve_h(&GrayImage::zeros(3, 3), &[0.5, 0.5]);
+        let _ = convolve_separable(&GrayImage::zeros(3, 3), &[0.5, 0.5]);
     }
 }

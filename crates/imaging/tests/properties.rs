@@ -2,9 +2,8 @@
 
 use incam_imaging::color::{demosaic_bilinear, demosaic_luma, rgb_to_gray};
 use incam_imaging::convolve::{
-    box_blur, convolve_h, convolve_h_reference, convolve_separable, convolve_separable_into,
-    convolve_separable_reference, convolve_v, convolve_v_reference, gaussian_blur, gaussian_kernel,
-    SeparableScratch,
+    box_blur, convolve_separable, convolve_separable_into, convolve_separable_reference,
+    gaussian_blur, gaussian_kernel, SeparableScratch,
 };
 use incam_imaging::image::{GrayImage, Image};
 use incam_imaging::integral::IntegralImage;
@@ -85,8 +84,8 @@ proptest! {
     #[test]
     fn convolution_linearity(img in arbitrary_image(), scale in 0.1f32..3.0) {
         let kernel = [0.25f32, 0.5, 0.25];
-        let direct = convolve_h(&img.map(|p| p * scale), &kernel);
-        let scaled = convolve_h(&img, &kernel).map(|p| p * scale);
+        let direct = convolve_separable(&img.map(|p| p * scale), &kernel);
+        let scaled = convolve_separable(&img, &kernel).map(|p| p * scale);
         for (a, b) in direct.pixels().iter().zip(scaled.pixels()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
@@ -143,10 +142,10 @@ proptest! {
         }
     }
 
-    /// The interior-fast-path convolutions are bit-exact against the
-    /// original clamped per-pixel formulation, across random sizes
-    /// (including 1×N / N×1 degenerate shapes and widths smaller than the
-    /// kernel radius) and random odd kernels.
+    /// The fused separable convolution is bit-exact against the original
+    /// clamped per-pixel formulation, across random sizes (including
+    /// 1×N / N×1 degenerate shapes and widths smaller than the kernel
+    /// radius) and random odd kernels.
     #[test]
     fn convolve_fast_paths_bitwise_equal_reference(
         w in 1usize..40,
@@ -160,18 +159,10 @@ proptest! {
         let kernel: Vec<f32> = (0..2 * radius + 1)
             .map(|i| ((i * 7 + seed as usize) % 11) as f32 / 11.0 - 0.2)
             .collect();
-        let pairs = [
-            (convolve_h(&img, &kernel), convolve_h_reference(&img, &kernel)),
-            (convolve_v(&img, &kernel), convolve_v_reference(&img, &kernel)),
-            (
-                convolve_separable(&img, &kernel),
-                convolve_separable_reference(&img, &kernel),
-            ),
-        ];
-        for (fast, reference) in &pairs {
-            for (a, b) in fast.pixels().iter().zip(reference.pixels()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
-            }
+        let fast = convolve_separable(&img, &kernel);
+        let reference = convolve_separable_reference(&img, &kernel);
+        for (a, b) in fast.pixels().iter().zip(reference.pixels()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
         }
     }
 

@@ -178,61 +178,13 @@ impl Mlp {
         activation
     }
 
-    /// Forward passes for a whole batch, returned in input order.
-    ///
-    /// This is the inference hot path for Fig. 2/3-style sweeps that
-    /// score hundreds of probe images per configuration.
-    ///
-    /// Fast path: activations live in one flat row-major `batch × width`
-    /// matrix advanced layer by layer (no per-example, per-layer `Vec`s),
-    /// and the network is packed once per call ([`Mlp::pack`]) so every
-    /// row runs the [`PackedMlp`] layer kernel. Per neuron the
-    /// accumulation is still `bias, then inputs in ascending order`, so
-    /// outputs are bit-equal to [`Mlp::forward_batch_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input's length differs from the topology's input
-    /// width.
-    pub fn forward_batch(&self, inputs: &[Vec<f32>], sigmoid: &Sigmoid) -> Vec<Vec<f32>> {
-        let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut width = self.topology.inputs();
-        for input in inputs {
-            assert_eq!(input.len(), width, "input width mismatch");
-        }
-        let mut act = vec![0.0f32; n * width];
-        for (row, input) in act.chunks_mut(width).zip(inputs) {
-            row.copy_from_slice(input);
-        }
-        for layer in &self.pack().layers {
-            let mut next = vec![0.0f32; n * layer.outputs];
-            for (e, orow) in next.chunks_mut(layer.outputs).enumerate() {
-                layer.forward_row(&act[e * width..(e + 1) * width], sigmoid, orow);
-            }
-            act = next;
-            width = layer.outputs;
-        }
-        act.chunks(width).map(<[f32]>::to_vec).collect()
-    }
-
-    /// Packs every layer's weights into 4-neuron tiles once, for repeated
-    /// forward passes through [`PackedMlp::forward_into`].
+    /// Packs every layer's weights into 16-neuron groups once, for
+    /// repeated forward passes through [`PackedMlp::forward_into`].
     pub fn pack(&self) -> PackedMlp {
         PackedMlp {
             inputs: self.topology.inputs(),
             layers: self.layers.iter().map(PackedLayer::new).collect(),
         }
-    }
-
-    /// The original batch forward (independent [`Mlp::forward`] calls,
-    /// one activation `Vec` per example per layer) — correctness oracle
-    /// for the tiled [`Mlp::forward_batch`] and the "before" side of the
-    /// kernel microbenchmarks.
-    pub fn forward_batch_reference(&self, inputs: &[Vec<f32>], sigmoid: &Sigmoid) -> Vec<Vec<f32>> {
-        inputs.iter().map(|x| self.forward(x, sigmoid)).collect()
     }
 
     /// Forward pass returning every layer's activations (input first) —
@@ -260,15 +212,15 @@ impl Mlp {
     }
 }
 
-/// An [`Mlp`] with each layer's weights packed once into 4-neuron tiles
+/// An [`Mlp`] with each layer's weights packed once into 16-neuron groups
 /// ([`Mlp::pack`]), for forward passes that reuse the packing and their
 /// activation buffers.
 ///
-/// The layer kernel advances four tiles (16 neurons, 16 independent
-/// accumulators) per sweep of the input, then any leftover tile, then any
-/// leftover neurons from their unpacked rows. Each neuron still sums its
-/// bias, then its inputs in ascending order, so every output equals
-/// [`Mlp::forward`] bit for bit.
+/// Each layer is padded to whole groups with zero weights and biases.
+/// The layer kernel advances one group (16 independent accumulators) per
+/// sweep of the input and writes only the real neurons' outputs. Each
+/// neuron still sums its bias, then its inputs in ascending order, so
+/// every output equals [`Mlp::forward`] bit for bit.
 #[derive(Debug, Clone)]
 pub struct PackedMlp {
     inputs: usize,
@@ -280,95 +232,53 @@ pub struct PackedMlp {
 struct PackedLayer {
     inputs: usize,
     outputs: usize,
-    /// `outputs / 4` tiles of `inputs × 4` weights, tile `t` holding
-    /// neuron `4t + lane`'s weight for input `i` at `i * 4 + lane`, then
-    /// the `outputs % 4` leftover rows, row-major.
+    /// `outputs.div_ceil(16)` groups of `inputs × 16` weights, group `g`
+    /// holding neuron `16g + lane`'s weight for input `i` at
+    /// `i * 16 + lane`; the padding lanes are zero.
     weights: Vec<f32>,
+    /// The biases, zero-padded to whole groups.
     biases: Vec<f32>,
 }
 
 impl PackedLayer {
     fn new(layer: &Layer) -> Self {
         let (width, outs) = (layer.inputs, layer.outputs);
-        let tiled = outs / 4 * 4;
-        let mut weights = vec![0.0; tiled * width];
-        for (t, tile) in weights.chunks_mut(width * 4).enumerate() {
-            for lane in 0..4 {
-                let row = &layer.weights[(t * 4 + lane) * width..][..width];
-                for (i, &w) in row.iter().enumerate() {
-                    tile[i * 4 + lane] = w;
-                }
+        let padded = outs.div_ceil(16) * 16;
+        let mut weights = vec![0.0; padded * width];
+        for (o, row) in layer.weights.chunks_exact(width).enumerate() {
+            let group = &mut weights[o / 16 * 16 * width..][..16 * width];
+            for (i, &w) in row.iter().enumerate() {
+                group[i * 16 + o % 16] = w;
             }
         }
-        weights.extend_from_slice(&layer.weights[tiled * width..]);
+        let mut biases = layer.biases.clone();
+        biases.resize(padded, 0.0);
         Self {
             inputs: width,
             outputs: outs,
             weights,
-            biases: layer.biases.clone(),
+            biases,
         }
     }
 
     /// One example through the layer: `out[o] = σ(bias_o + Σ w_oi · x_i)`,
     /// summed in ascending `i`.
     fn forward_row(&self, x: &[f32], sigmoid: &Sigmoid, out: &mut [f32]) {
-        let width = self.inputs;
-        let tiled = self.outputs / 4 * 4;
-        let (tiles, rest) = self.weights.split_at(tiled * width);
-        let (outs, rest_outs) = out.split_at_mut(tiled);
-        let mut groups = tiles.chunks_exact(16 * width);
-        let mut done = 0;
-        for group in &mut groups {
-            let (t01, t23) = group.split_at(8 * width);
-            let ((t0, t1), (t2, t3)) = (t01.split_at(4 * width), t23.split_at(4 * width));
-            let mut acc = [[0.0f32; 4]; 4];
-            for (a, b) in acc
-                .iter_mut()
-                .zip(self.biases[done..done + 16].chunks_exact(4))
-            {
-                a.copy_from_slice(b);
-            }
-            for ((((&xi, w0), w1), w2), w3) in x
-                .iter()
-                .zip(t0.chunks_exact(4))
-                .zip(t1.chunks_exact(4))
-                .zip(t2.chunks_exact(4))
-                .zip(t3.chunks_exact(4))
-            {
-                for (a, w) in acc.iter_mut().zip([w0, w1, w2, w3]) {
-                    for lane in 0..4 {
-                        a[lane] += w[lane] * xi;
-                    }
-                }
-            }
-            for (o, &a) in outs[done..done + 16].iter_mut().zip(acc.as_flattened()) {
-                *o = sigmoid.eval(a);
-            }
-            done += 16;
-        }
-        for tile in groups.remainder().chunks_exact(4 * width) {
-            let mut acc = [0.0f32; 4];
-            acc.copy_from_slice(&self.biases[done..done + 4]);
-            for (&xi, ws) in x.iter().zip(tile.chunks_exact(4)) {
-                for lane in 0..4 {
-                    acc[lane] += ws[lane] * xi;
-                }
-            }
-            for (o, a) in outs[done..done + 4].iter_mut().zip(acc) {
-                *o = sigmoid.eval(a);
-            }
-            done += 4;
-        }
-        for ((o, row), &bias) in rest_outs
-            .iter_mut()
-            .zip(rest.chunks_exact(width))
-            .zip(&self.biases[tiled..])
+        let groups = self.weights.chunks_exact(16 * self.inputs);
+        for ((group, bias), outs) in groups
+            .zip(self.biases.chunks_exact(16))
+            .zip(out.chunks_mut(16))
         {
-            let mut acc = bias;
-            for (&w, &xi) in row.iter().zip(x) {
-                acc += w * xi;
+            let mut acc = [0.0f32; 16];
+            acc.copy_from_slice(bias);
+            for (&xi, w) in x.iter().zip(group.chunks_exact(16)) {
+                for lane in 0..16 {
+                    acc[lane] += w[lane] * xi;
+                }
             }
-            *o = sigmoid.eval(acc);
+            for (o, &a) in outs.iter_mut().zip(&acc) {
+                *o = sigmoid.eval(a);
+            }
         }
     }
 }
@@ -474,21 +384,5 @@ mod tests {
     fn wrong_input_width_panics() {
         let net = Mlp::zeros(Topology::new(vec![3, 1]));
         let _ = net.forward(&[0.0; 2], &Sigmoid::Exact);
-    }
-
-    #[test]
-    fn tiled_batch_matches_reference_bitwise() {
-        let mut rng = StdRng::seed_from_u64(5);
-        // widths chosen to exercise both the 4-wide tiles and remainders
-        let net = Mlp::random(Topology::new(vec![9, 7, 4, 3]), &mut rng);
-        let inputs: Vec<Vec<f32>> = (0..13)
-            .map(|_| (0..9).map(|_| rng.gen_range(-1.0..1.0f32)).collect())
-            .collect();
-        for sigmoid in [Sigmoid::Exact, Sigmoid::lut256()] {
-            let fast = net.forward_batch(&inputs, &sigmoid);
-            let refr = net.forward_batch_reference(&inputs, &sigmoid);
-            assert_eq!(fast, refr);
-        }
-        assert!(net.forward_batch(&[], &Sigmoid::Exact).is_empty());
     }
 }

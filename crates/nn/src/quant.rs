@@ -9,10 +9,11 @@
 //! accumulate in a wide integer register (26 bits in the paper's PE,
 //! Fig. 3), and activations go through the hardware sigmoid LUT.
 //!
-//! The host model runs at the datapath's own width. A [`QuantizedMlp`]
-//! models 2- to 16-bit datapaths, so its weight and activation codes are
-//! `i16`. [`QuantizedMlp::forward_into`] sums each neuron's products in
-//! `i32` partial sums, one per chunk of its inputs, and adds the chunk
+//! The host model runs at the datapath's own width. A [`QFormat`] is 2 to
+//! 16 bits wide and a [`QuantizedMlp`] models 2- to 16-bit datapaths, so
+//! every code fits an `i16`, the type of the weight and activation codes.
+//! [`QuantizedMlp::forward_into`] sums each neuron's products in `i32`
+//! partial sums, one per chunk of its inputs, and adds the chunk
 //! sums to the bias in an `i64` accumulator, the register
 //! [`QuantizedMlp::peak_accumulator_bits`] reads. Quantizing fixes each
 //! layer's chunk length: the most inputs `n` with
@@ -54,22 +55,25 @@ impl QFormat {
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is not in `2..=32` or `frac_bits >= bits`.
+    /// Panics if `bits` is not in `2..=16` or `frac_bits >= bits`.
     pub fn new(bits: u32, frac_bits: u32) -> Self {
-        assert!((2..=32).contains(&bits), "bits must be in 2..=32");
+        assert!((2..=16).contains(&bits), "bits must be in 2..=16");
         assert!(frac_bits < bits, "frac_bits must leave room for the sign");
         Self { bits, frac_bits }
     }
 
     /// Picks the format with the given width whose integer part just fits
-    /// `max_abs` (at least Q·.0).
+    /// `max_abs` (at least Q·.0). A non-finite `max_abs` gets Q·.0, as
+    /// `f32::MAX` does.
     pub fn fit(bits: u32, max_abs: f32) -> Self {
-        let int_bits = if max_abs <= 1.0 {
+        let frac = if !max_abs.is_finite() {
             0
+        } else if max_abs <= 1.0 {
+            bits.saturating_sub(1)
         } else {
-            (max_abs.log2().floor() as u32) + 1
+            // log2 of a finite f32 is below 129, so the add cannot overflow
+            bits.saturating_sub(2 + max_abs.log2().floor() as u32)
         };
-        let frac = bits.saturating_sub(1 + int_bits);
         Self::new(bits, frac)
     }
 
@@ -106,7 +110,7 @@ impl QFormat {
     /// Quantizes with round-to-nearest (ties away from zero) and
     /// saturation.
     pub fn quantize(self, value: f32) -> i64 {
-        self.round_saturating(value / self.resolution())
+        i64::from(self.round_code(value * self.scale()))
     }
 
     /// The original `roundf` formulation of [`QFormat::quantize`], kept as
@@ -119,25 +123,10 @@ impl QFormat {
     /// Rounds a value already in LSB units to the nearest code, ties away
     /// from zero, and saturates: exactly
     /// `(scaled.round() as i64).clamp(min_code, max_code)` for every f32,
-    /// NaN included, without the `roundf` call.
-    #[inline]
-    fn round_saturating(self, scaled: f32) -> i64 {
-        let (lo, hi) = (self.min_code(), self.max_code());
-        // After the clamp |v| <= 2^31, so the truncation is exact and so is
-        // the fractional part `f`. NaN passes the clamp, truncates to 0 and
-        // fails both comparisons, as `round` would give it.
-        let v = scaled.clamp(lo as f32, hi as f32);
-        let t = v as i64;
-        let f = v - t as f32;
-        // branch-free on purpose: a branchy form mispredicts on real pixels
-        (t + i64::from(f >= 0.5) - i64::from(f <= -0.5)).clamp(lo, hi)
-    }
-
-    /// [`QFormat::round_saturating`] for formats of at most 16 bits, as an
-    /// `i16`, in a form that vectorizes. A saturating float-to-integer
-    /// `as` cast compiles to one scalar `cvttss2si` per value on the
-    /// baseline x86-64 target, so the integer is read from the float's
-    /// bits instead.
+    /// NaN included, as an `i16`, in a form that vectorizes. A saturating
+    /// float-to-integer `as` cast compiles to one scalar `cvttss2si` per
+    /// value on the baseline x86-64 target, so the integer is read from
+    /// the float's bits instead.
     #[inline]
     fn round_code(self, scaled: f32) -> i16 {
         // 1.5 · 2^23: for |v| < 2^22, `v + MAGIC` lies in [2^23, 2^24),
@@ -497,6 +486,10 @@ mod tests {
         assert_eq!(q1.frac_bits(), 7);
         let q16 = QFormat::fit(16, 3.5);
         assert_eq!(q16.frac_bits(), 13);
+        // no 8-bit format fits these: the coarsest, Q·.0
+        for max_abs in [f32::INFINITY, f32::NAN, f32::MAX] {
+            assert_eq!(QFormat::fit(8, max_abs).frac_bits(), 0, "{max_abs}");
+        }
     }
 
     #[test]

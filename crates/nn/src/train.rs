@@ -213,25 +213,6 @@ pub fn train(
     }
 }
 
-/// Mean squared error of `net` on `data` with the given activation.
-///
-/// The forwards run as one batch ([`Mlp::forward_batch`]); the error
-/// accumulates in one in-order loop.
-pub fn evaluate_mse(net: &Mlp, data: &TrainingSet, sigmoid: &Sigmoid) -> f32 {
-    assert!(!data.is_empty(), "evaluation set must be non-empty");
-    let outputs = net.forward_batch(&data.inputs, sigmoid);
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for (out, target) in outputs.iter().zip(&data.targets) {
-        for (&o, &t) in out.iter().zip(target) {
-            let e = (o - t) as f64;
-            sum += e * e;
-            count += 1;
-        }
-    }
-    (sum / count as f64) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +280,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut net = Mlp::random(Topology::new(vec![2, 4, 1]), &mut rng);
         let data = xor_data();
-        let before = evaluate_mse(&net, &data, &Sigmoid::Exact);
+        let mse = |net: &Mlp| {
+            let pairs = data.inputs.iter().zip(&data.targets);
+            let sum: f64 = pairs
+                .map(|(x, t)| f64::from(net.forward(x, &Sigmoid::Exact)[0] - t[0]).powi(2))
+                .sum();
+            sum / data.len() as f64
+        };
+        let before = mse(&net);
         let _ = train(
             &mut net,
             &data,
@@ -310,7 +298,7 @@ mod tests {
             },
             &mut rng,
         );
-        let after = evaluate_mse(&net, &data, &Sigmoid::Exact);
+        let after = mse(&net);
         assert!(after < before, "before {before} after {after}");
     }
 

@@ -12,7 +12,7 @@ use incam_rng::SeedableRng;
 /// Scaled values where `roundf` and saturation are easiest to get wrong:
 /// signed zeros, NaNs (with and without a payload, either sign),
 /// infinities, exact ties, and the neighbourhoods of ±2^23 (where f32
-/// stops holding fractions) and ±2^31 (the widest code).
+/// stops holding fractions) and ±2^31 (far past the widest code, 2^15).
 fn quantize_edges() -> Vec<f32> {
     let mut edges = vec![
         0.0,
@@ -114,7 +114,7 @@ proptest! {
     /// QFormat: dequantize(quantize(x)) is within resolution/2 in range,
     /// and codes saturate cleanly at the rails.
     #[test]
-    fn qformat_rails(bits in 3u32..20, x in -1e4f32..1e4) {
+    fn qformat_rails(bits in 3u32..=16, x in -1e4f32..1e4) {
         let q = QFormat::fit(bits, 1.0);
         let code = q.quantize(x);
         prop_assert!(code >= q.min_code() && code <= q.max_code());
@@ -129,12 +129,12 @@ proptest! {
 
     /// The `roundf`-free quantizer equals the original expression on a
     /// random f32 bit pattern and on every edge value, at every width from
-    /// 2 to 32 bits and at the narrowest, middle and widest fraction.
+    /// 2 to 16 bits and at the narrowest, middle and widest fraction.
     #[test]
     fn quantize_bitwise_equal_roundf_reference(pattern in 0u32..=u32::MAX) {
         let mut scaled = quantize_edges();
         scaled.push(f32::from_bits(pattern));
-        for bits in 2u32..=32 {
+        for bits in 2u32..=16 {
             for frac in [0, bits / 2, bits - 1] {
                 let q = QFormat::new(bits, frac);
                 // quantize divides by the resolution, a power of two, so
@@ -197,10 +197,12 @@ proptest! {
     }
 
     /// The packed forward into reused buffers is bit-exact against
-    /// `Mlp::forward`: one to three layers of widths 1–70 (so full
-    /// 16-neuron groups, leftover tiles and leftover neurons all occur),
+    /// `Mlp::forward`: one to three layers of widths 1–70 (so whole
+    /// 16-neuron groups and groups with zero-padded lanes both occur),
     /// both sigmoids, inputs in [−3, 3], and buffers first used by a
-    /// network of another shape.
+    /// network of another shape. A fourth input puts ±∞, ±`f32::MAX` and
+    /// ±0 on its even indices, so padded lanes compute 0·∞ = NaN, which no
+    /// real output may see.
     #[test]
     fn packed_forward_bitwise_equal_forward(
         layers in prop::collection::vec(1usize..=70, 2..5),
@@ -214,8 +216,14 @@ proptest! {
         let mut buffers = ActivationBuffers::default();
         let other = Mlp::random(Topology::new(vec![37, 5, 19]), &mut rng).pack();
         let _ = other.forward_into(&[0.7; 37], &sigmoid, &mut buffers);
-        for _ in 0..3 {
-            let input: Vec<f32> = (0..layers[0]).map(|_| rng.gen_range(-3.0..3.0f32)).collect();
+        let extremes = [f32::INFINITY, f32::NEG_INFINITY, f32::MAX, -f32::MAX, 0.0, -0.0];
+        for round in 0..4 {
+            let input: Vec<f32> = (0..layers[0])
+                .map(|i| match round {
+                    3 if i % 2 == 0 => extremes[i / 2 % extremes.len()],
+                    _ => rng.gen_range(-3.0..3.0f32),
+                })
+                .collect();
             let a = packed.forward_into(&input, &sigmoid, &mut buffers).to_vec();
             let b = net.forward(&input, &sigmoid);
             prop_assert_eq!(a.len(), b.len());
@@ -241,35 +249,5 @@ proptest! {
             prop_assert!(f1 >= p.min(r) - 1e-12);
         }
         prop_assert!((c.miss_rate() + c.recall() - 1.0).abs() < 1e-12 || (c.tp + c.fn_) == 0);
-    }
-
-    /// The flat tiled batch forward is bit-exact against independent
-    /// per-example forwards, across random topologies (exercising full
-    /// 16-neuron groups, leftover 4-neuron tiles and leftover neurons),
-    /// batch sizes, activations, and both pool dispatch paths.
-    #[test]
-    fn tiled_forward_batch_bitwise_equal_reference(
-        layers in prop::collection::vec(1usize..70, 2..5),
-        batch in 1usize..17,
-        exact in any::<bool>(),
-        seed in 0u64..5000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::random(Topology::new(layers.clone()), &mut rng);
-        let inputs: Vec<Vec<f32>> = (0..batch)
-            .map(|_| (0..layers[0]).map(|_| rng.gen_range(-2.0..2.0f32)).collect())
-            .collect();
-        let sigmoid = if exact { Sigmoid::Exact } else { Sigmoid::lut256() };
-        for threads in [1usize, 4] {
-            incam_parallel::set_thread_override(Some(threads));
-            let fast = net.forward_batch(&inputs, &sigmoid);
-            let reference = net.forward_batch_reference(&inputs, &sigmoid);
-            incam_parallel::set_thread_override(None);
-            for (fr, rr) in fast.iter().zip(&reference) {
-                for (a, b) in fr.iter().zip(rr) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
-                }
-            }
-        }
     }
 }
