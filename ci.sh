@@ -73,6 +73,13 @@ cargo test -q --offline --workspace
 step "test (offline, INCAM_THREADS=4 worker pool)"
 INCAM_THREADS=4 cargo test -q --offline --workspace
 
+step "search equivalence oracle, deep sweep (4096 cases per property)"
+# The plan's rows and Pareto filter are pinned to the exhaustive path
+# only by these proptests; the test steps above run them at the
+# harness default of 64 cases.
+INCAM_PROPTEST_CASES=4096 INCAM_PROPTEST_SEED=27 \
+    cargo test --release -q --offline -p incam-core --test search_equivalence
+
 step "fmt --check"
 cargo fmt --all --check
 

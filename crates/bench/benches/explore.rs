@@ -8,6 +8,10 @@
 //! winner scan. `incremental_rerank` is the link-only re-search the
 //! fleet's per-camera re-selection leans on: the frontier is already
 //! committed and only the re-rank under a degraded link is measured.
+//! The frontier query gets the same pair: `exhaustive_pareto` evaluates
+//! and filters every distinct configuration, while `plan_pareto` asks a
+//! built plan, which filters its memoized frontier's objectives and
+//! builds rows only for the survivors.
 //! The node-count reduction itself is pinned by
 //! `repro --experiment explore-scale`; this bench guards the *time*
 //! story those counts promise. Results land in `BENCH_explore.json`
@@ -24,7 +28,8 @@ fn wifi() -> Link {
     Link::new("wifi", BytesPerSec::from_bits_per_sec(5e6), 1.0)
 }
 
-/// Exhaustive enumeration vs the pruned engine vs incremental re-rank.
+/// Exhaustive enumeration vs the pruned engine vs incremental re-rank,
+/// for the winner and for the Pareto frontier.
 fn bench_explore(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_scale");
     group.sample_size(10);
@@ -42,7 +47,17 @@ fn bench_explore(c: &mut Criterion) {
         })
     });
 
-    let committed = SearchPlan::new(&space).frontier().clone();
+    group.bench_function("exhaustive_pareto", |b| {
+        b.iter(|| black_box(&space).pareto_frontier(black_box(&link)))
+    });
+
+    let plan = SearchPlan::new(&space);
+    plan.frontier();
+    group.bench_function("plan_pareto", |b| {
+        b.iter(|| black_box(&plan).pareto_frontier(black_box(&link)))
+    });
+
+    let committed = plan.frontier().clone();
     group.bench_function("incremental_rerank", |b| {
         b.iter(|| {
             black_box(&committed)

@@ -36,7 +36,9 @@
 //!   dominance pre-pruning drops bindings an earlier same-block sibling
 //!   weakly dominates on (throughput, energy, output size), prefix
 //!   bounds kill whole subtrees during the cut-major descent, and the
-//!   surviving link-independent frontier is memoized;
+//!   surviving link-independent frontier is memoized; a query filters
+//!   that frontier on its objectives and builds rows only for the
+//!   configurations it returns;
 //! * an [`IncrementalSearch`] is that frontier, owned: it re-ranks under
 //!   a *new link only*, because the link enters the objective solely
 //!   through the upload term, so the link-independent three-objective
@@ -87,7 +89,7 @@
 
 use crate::block::{Backend, BlockKind, BlockSpec, DataTransform};
 use crate::link::Link;
-use crate::offload::{analyze_cut, Constraint};
+use crate::offload::{analyze_cut, cut_label, Constraint};
 use crate::pipeline::{Pipeline, Source, Stage};
 use crate::units::{Bytes, Fps, Joules};
 use incam_rng::Digest;
@@ -289,14 +291,18 @@ impl ConfigAnalysis {
 
     /// `true` if `self` is at least as good as `other` on all three
     /// objectives (total FPS up, energy down, upload down) and strictly
-    /// better on at least one.
+    /// better on at least one — the comparison [`pareto_frontier`]
+    /// filters by.
     pub fn dominates(&self, other: &Self) -> bool {
-        let fps = (self.total().fps(), other.total().fps());
-        let energy = (self.energy.joules(), other.energy.joules());
-        let upload = (self.upload.bytes(), other.upload.bytes());
-        let no_worse = fps.0 >= fps.1 && energy.0 <= energy.1 && upload.0 <= upload.1;
-        let better = fps.0 > fps.1 || energy.0 < energy.1 || upload.0 < upload.1;
-        no_worse && better
+        dominates(self.objectives(), other.objectives())
+    }
+
+    fn objectives(&self) -> Objectives {
+        (
+            self.total().fps(),
+            self.energy.joules(),
+            self.upload.bytes(),
+        )
     }
 }
 
@@ -571,6 +577,25 @@ impl Iterator for Configurations<'_> {
 /// comparisons the scan makes, which `NaN` breaks.
 pub const PARETO_SWEEP_THRESHOLD: usize = 64;
 
+/// One row's three paper objectives: total FPS (maximized), in-camera
+/// energy per frame in joules and uploaded bytes per frame (both
+/// minimized).
+type Objectives = (f64, f64, f64);
+
+/// `a` is no worse than `b` on every objective: `a` dominates `b` or
+/// ties it exactly. The filter drops a candidate a kept row weakly
+/// dominates, so of mutually equal rows the earliest survives.
+fn weakly_dominates(a: Objectives, b: Objectives) -> bool {
+    a.0 >= b.0 && a.1 <= b.1 && a.2 <= b.2
+}
+
+/// `a` is no worse than `b` on every objective and better on one:
+/// where [`weakly_dominates`] holds no value is NaN, so `a != b` means
+/// some objective is strictly better.
+fn dominates(a: Objectives, b: Objectives) -> bool {
+    weakly_dominates(a, b) && a != b
+}
+
 /// Filters `analyses` down to the Pareto frontier over the three paper
 /// objectives: total FPS (maximize), in-camera energy per frame
 /// (minimize), and uploaded bytes per frame (minimize). Input order is
@@ -579,36 +604,52 @@ pub const PARETO_SWEEP_THRESHOLD: usize = 64;
 /// Two implementations compute the same set: a quadratic pairwise scan
 /// for small or non-finite inputs, and a sort-then-sweep above
 /// [`PARETO_SWEEP_THRESHOLD`] — `tests/search_equivalence.rs` proptests
-/// their agreement.
+/// their agreement. [`SearchPlan::pareto_frontier`] runs the same
+/// filter on its frontier's objectives before it builds any row.
 pub fn pareto_frontier(analyses: Vec<ConfigAnalysis>) -> Vec<ConfigAnalysis> {
-    let finite = |a: &ConfigAnalysis| {
-        a.total().fps().is_finite() && a.energy.joules().is_finite() && a.upload.bytes().is_finite()
+    let objectives: Vec<Objectives> = analyses.iter().map(ConfigAnalysis::objectives).collect();
+    let survivors = pareto_survivors(&objectives);
+    // a fresh vector sized to the survivors: collecting back into the
+    // input's buffer would keep every dominated row's capacity alive
+    let mut frontier = Vec::with_capacity(survivors.len());
+    let mut next = survivors.into_iter().peekable();
+    for (i, analysis) in analyses.into_iter().enumerate() {
+        if next.next_if_eq(&i).is_some() {
+            frontier.push(analysis);
+        }
+    }
+    frontier
+}
+
+/// Indices of the rows of `objectives` on the Pareto frontier,
+/// ascending: the dispatch behind [`pareto_frontier`].
+fn pareto_survivors(objectives: &[Objectives]) -> Vec<usize> {
+    let finite = |&(fps, energy, upload): &Objectives| {
+        fps.is_finite() && energy.is_finite() && upload.is_finite()
     };
-    if analyses.len() > PARETO_SWEEP_THRESHOLD && analyses.iter().all(finite) {
-        pareto_sweep(analyses)
+    if objectives.len() > PARETO_SWEEP_THRESHOLD && objectives.iter().all(finite) {
+        pareto_sweep(objectives)
     } else {
-        pareto_quadratic(analyses)
+        pareto_quadratic(objectives)
     }
 }
 
 /// The reference implementation: pairwise dominance against the kept
 /// set, dropping candidates a kept point dominates or exactly ties, and
 /// retiring kept points the candidate dominates.
-fn pareto_quadratic(analyses: Vec<ConfigAnalysis>) -> Vec<ConfigAnalysis> {
-    let mut frontier: Vec<ConfigAnalysis> = Vec::new();
-    for candidate in analyses {
-        if frontier.iter().any(|kept| {
-            kept.dominates(&candidate)
-                || (kept.total() == candidate.total()
-                    && kept.energy == candidate.energy
-                    && kept.upload == candidate.upload)
-        }) {
+fn pareto_quadratic(objectives: &[Objectives]) -> Vec<usize> {
+    let mut kept: Vec<usize> = Vec::with_capacity(objectives.len());
+    for (i, &candidate) in objectives.iter().enumerate() {
+        if kept
+            .iter()
+            .any(|&k| weakly_dominates(objectives[k], candidate))
+        {
             continue;
         }
-        frontier.retain(|kept| !candidate.dominates(kept));
-        frontier.push(candidate);
+        kept.retain(|&k| !dominates(candidate, objectives[k]));
+        kept.push(i);
     }
-    frontier
+    kept
 }
 
 /// Sort-then-sweep frontier for all-finite inputs. Candidates are
@@ -620,21 +661,19 @@ fn pareto_quadratic(analyses: Vec<ConfigAnalysis>) -> Vec<ConfigAnalysis> {
 /// kept point weakly dominate this one?" with a binary search: the kept
 /// point at the greatest energy at most the candidate's holds the
 /// minimum kept upload in that range.
-fn pareto_sweep(analyses: Vec<ConfigAnalysis>) -> Vec<ConfigAnalysis> {
-    let mut order: Vec<usize> = (0..analyses.len()).collect();
+fn pareto_sweep(objectives: &[Objectives]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..objectives.len()).collect();
     order.sort_unstable_by(|&i, &j| {
-        let (a, b) = (&analyses[i], &analyses[j]);
-        b.total()
-            .fps()
-            .total_cmp(&a.total().fps())
-            .then(a.energy.joules().total_cmp(&b.energy.joules()))
-            .then(a.upload.bytes().total_cmp(&b.upload.bytes()))
+        let (a, b) = (objectives[i], objectives[j]);
+        b.0.total_cmp(&a.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.total_cmp(&b.2))
             .then(i.cmp(&j))
     });
     let mut stairs: Vec<(f64, f64)> = Vec::new();
-    let mut keep = vec![false; analyses.len()];
+    let mut keep = vec![false; objectives.len()];
     for &i in &order {
-        let (energy, upload) = (analyses[i].energy.joules(), analyses[i].upload.bytes());
+        let (_, energy, upload) = objectives[i];
         let pos = stairs.partition_point(|&(e, _)| e <= energy);
         if pos > 0 && stairs[pos - 1].1 <= upload {
             continue; // a prior (total-no-worse) kept point weakly dominates
@@ -649,13 +688,7 @@ fn pareto_sweep(analyses: Vec<ConfigAnalysis>) -> Vec<ConfigAnalysis> {
         }
         stairs.splice(ins..end, [(energy, upload)]);
     }
-    let mut frontier = Vec::new();
-    for (i, analysis) in analyses.into_iter().enumerate() {
-        if keep[i] {
-            frontier.push(analysis);
-        }
-    }
-    frontier
+    (0..objectives.len()).filter(|&i| keep[i]).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -769,6 +802,27 @@ impl FrontierPoint {
         self.compute.min(link.upload_fps(self.upload))
     }
 
+    /// This point's [`ConfigAnalysis`] row over `link`, built from its
+    /// folded objectives: `space.evaluate(&self.config, link)`, bit for
+    /// bit, without realizing a [`Pipeline`]. `space` must be the space
+    /// the point was found in.
+    fn analysis(&self, space: &PipelineSpace, link: &Link) -> ConfigAnalysis {
+        let prefix = space
+            .blocks()
+            .iter()
+            .zip(&self.config.bindings)
+            .take(self.config.cut)
+            .map(|(block, &b)| (block.spec().name(), block.bindings()[b].backend()));
+        ConfigAnalysis {
+            config: self.config.clone(),
+            label: cut_label(prefix),
+            compute: self.compute,
+            communication: link.upload_fps(self.upload),
+            upload: self.upload,
+            energy: self.energy,
+        }
+    }
+
     /// Weak dominance against raw objective values: at least as fast to
     /// compute, at most as much energy, at most as large an upload key.
     fn covers(&self, compute: f64, energy: f64, upload_key: f64) -> bool {
@@ -800,7 +854,8 @@ fn upload_key_of(upload: Bytes) -> f64 {
 /// surviving product with prefix-bound subtree pruning and memoizes the
 /// result as an [`IncrementalSearch`], so every later
 /// [`SearchPlan::best`] / [`SearchPlan::pareto_frontier`] call re-ranks
-/// the (small) frontier under its link instead of re-enumerating.
+/// the (small) frontier under its link instead of re-enumerating, and
+/// builds a [`ConfigAnalysis`] only for each configuration it returns.
 ///
 /// # Why pruning preserves behavior
 ///
@@ -901,28 +956,33 @@ impl<'a> SearchPlan<'a> {
         self.frontier().stats
     }
 
-    /// The exhaustive-equivalent best configuration over `link`, from
-    /// the pruned frontier.
+    /// The exhaustive-equivalent best configuration over `link`: the
+    /// frontier's winner, its row built straight from the point's
+    /// folded objectives (bit-equal to [`PipelineSpace::evaluate`]).
     pub fn best(&self, link: &Link) -> Option<ConfigAnalysis> {
         self.frontier()
             .best(link)
-            .map(|point| self.space.evaluate(&point.config, link))
+            .map(|point| point.analysis(self.space, link))
     }
 
     /// The exhaustive-equivalent Pareto frontier over `link`. Regular
-    /// spaces re-rank the pruned frontier; others fall back to
+    /// spaces run [`pareto_frontier`]'s filter on the memoized
+    /// frontier's objectives under `link` and build rows only for the
+    /// survivors, straight from their points; others fall back to
     /// [`PipelineSpace::pareto_frontier`].
     pub fn pareto_frontier(&self, link: &Link) -> Vec<ConfigAnalysis> {
         if !self.regular {
             return self.space.pareto_frontier(link);
         }
-        pareto_frontier(
-            self.frontier()
-                .points
-                .iter()
-                .map(|point| self.space.evaluate(&point.config, link))
-                .collect(),
-        )
+        let points = &self.frontier().points;
+        let objectives: Vec<Objectives> = points
+            .iter()
+            .map(|p| (p.total(link).fps(), p.energy.joules(), p.upload.bytes()))
+            .collect();
+        pareto_survivors(&objectives)
+            .into_iter()
+            .map(|i| points[i].analysis(self.space, link))
+            .collect()
     }
 
     fn build_frontier(&self) -> IncrementalSearch {
@@ -1274,7 +1334,9 @@ impl IncrementalSearch {
     }
 
     /// The winner's full [`ConfigAnalysis`], resolved against the space
-    /// the frontier was committed from.
+    /// the frontier was committed from: the row is built from the
+    /// winning point's objectives and the space's block names and
+    /// backends, bit-equal to [`PipelineSpace::evaluate`].
     ///
     /// # Panics
     ///
@@ -1286,8 +1348,7 @@ impl IncrementalSearch {
             self.space_digest,
             "IncrementalSearch frontier was committed from a different space"
         );
-        self.best(link)
-            .map(|point| space.evaluate(&point.config, link))
+        self.best(link).map(|point| point.analysis(space, link))
     }
 }
 

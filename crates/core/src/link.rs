@@ -8,6 +8,7 @@
 
 use crate::units::{Bytes, BytesPerSec, Fps, Joules, Seconds};
 use core::fmt;
+use std::sync::Arc;
 
 /// Errors from link rate/time queries with degenerate payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,11 @@ impl fmt::Display for LinkError {
 /// hypothetical 400 Gb link is quoted near line rate; both are expressed
 /// here as explicit parameters (see `EXPERIMENTS.md`).
 ///
+/// The name is shared, not copied: [`Link::degraded`] and `clone` hand
+/// the new link the same name buffer, so the per-attempt and
+/// per-re-search degraded links of the verify service and the fleet
+/// simulator allocate nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -50,7 +56,7 @@ impl fmt::Display for LinkError {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Link {
-    name: String,
+    name: Arc<str>,
     raw: BytesPerSec,
     efficiency: f64,
     energy_per_bit: Joules,
@@ -63,7 +69,7 @@ impl Link {
     ///
     /// Panics if `efficiency` is not in `(0, 1]` (NaN included) or `raw`
     /// is not positive and finite.
-    pub fn new(name: impl Into<String>, raw: BytesPerSec, efficiency: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, raw: BytesPerSec, efficiency: f64) -> Self {
         assert!(
             efficiency > 0.0 && efficiency <= 1.0,
             "link efficiency must be in (0, 1], got {efficiency}"
@@ -123,7 +129,8 @@ impl Link {
 
     /// A copy of this link degraded to `goodput` of its nominal
     /// efficiency — congestion or a lossy channel reducing useful
-    /// throughput without changing the raw signalling rate.
+    /// throughput without changing the raw signalling rate. The copy
+    /// shares this link's name and allocates nothing.
     ///
     /// # Panics
     ///
@@ -134,7 +141,7 @@ impl Link {
             "goodput factor must be in (0, 1], got {goodput}"
         );
         Self {
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             raw: self.raw,
             efficiency: self.efficiency * goodput,
             energy_per_bit: self.energy_per_bit,
@@ -302,6 +309,14 @@ mod tests {
         );
         assert_eq!(half.raw_rate(), link.raw_rate());
         assert_eq!(half.name(), link.name());
+    }
+
+    #[test]
+    fn degraded_and_clone_share_the_name_buffer() {
+        let link = Link::ethernet_25g();
+        assert!(!link.name().is_empty());
+        assert_eq!(link.degraded(0.5).name().as_ptr(), link.name().as_ptr());
+        assert_eq!(link.clone().name().as_ptr(), link.name().as_ptr());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! that computes everything in-camera with FPGA-accelerated depth
 //! estimation passes a 30 FPS requirement on both axes.
 
+use crate::block::Backend;
 use crate::explore::{ConfigAnalysis, Configuration};
 use crate::link::Link;
 use crate::pipeline::Pipeline;
@@ -73,9 +74,12 @@ pub fn analyze_cut(pipeline: &Pipeline, link: &Link, k: usize) -> ConfigAnalysis
         pipeline.len()
     );
     let upload = pipeline.data_after(k);
+    let prefix = pipeline.stages()[..k]
+        .iter()
+        .map(|stage| (stage.spec().name(), stage.backend()));
     ConfigAnalysis {
         config: Configuration::new(vec![0; pipeline.len()], k),
-        label: cut_label(pipeline, k),
+        label: cut_label(prefix),
         compute: pipeline.compute_fps_through(k),
         communication: link.upload_fps(upload),
         upload,
@@ -83,16 +87,29 @@ pub fn analyze_cut(pipeline: &Pipeline, link: &Link, k: usize) -> ConfigAnalysis
     }
 }
 
-/// Human-readable label for the in-camera prefix of cut `k`, e.g.
-/// `S+B1(C)+B2(C)+B3(F)`. Every backend tags its stage with
-/// [`crate::block::Backend::letter`].
-pub fn cut_label(pipeline: &Pipeline, k: usize) -> String {
-    let mut label = String::from("S");
-    for stage in pipeline.stages().iter().take(k) {
+/// Human-readable label for an in-camera prefix, given as the
+/// `(block name, backend)` of each block before the cut, e.g.
+/// `S+B1(C)+B2(C)+B3(F)`. Every backend tags its block with
+/// [`crate::block::Backend::letter`]. This is the one label formatter:
+/// [`analyze_cut`] passes a pipeline's stages, and the search engine a
+/// configuration's bound blocks.
+pub fn cut_label<'a, I>(prefix: I) -> String
+where
+    I: IntoIterator<Item = (&'a str, Backend)>,
+    I::IntoIter: Clone,
+{
+    let prefix = prefix.into_iter();
+    // sized up front, so the label is one allocation: "+name(X)" per block
+    let len = prefix.clone().fold(1, |len, (name, backend)| {
+        len + name.len() + 3 + backend.letter().len_utf8()
+    });
+    let mut label = String::with_capacity(len);
+    label.push('S');
+    for (name, backend) in prefix {
         label.push('+');
-        label.push_str(stage.spec().name());
+        label.push_str(name);
         label.push('(');
-        label.push(stage.backend().letter());
+        label.push(backend.letter());
         label.push(')');
     }
     label
@@ -101,7 +118,7 @@ pub fn cut_label(pipeline: &Pipeline, k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{Backend, BlockSpec, DataTransform};
+    use crate::block::{BlockSpec, DataTransform};
     use crate::explore::PipelineSpace;
     use crate::pipeline::{Source, Stage};
     use crate::units::{Bytes, BytesPerSec, Fps};
@@ -215,7 +232,13 @@ mod tests {
                 Backend::Mcu,
                 Fps::new(2.0),
             ));
-        assert_eq!(cut_label(&p, 2), "S+MD(A)+NN(M)");
+        let prefix = p.stages().iter().map(|s| (s.spec().name(), s.backend()));
+        assert_eq!(cut_label(prefix), "S+MD(A)+NN(M)");
+        assert_eq!(
+            analyze_cut(&p, &Link::ethernet_25g(), 2).label,
+            "S+MD(A)+NN(M)"
+        );
+        assert_eq!(cut_label([]), "S");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use incam_core::block::{Backend, BlockSpec, DataTransform};
 use incam_core::explore::{
     pareto_frontier, Binding, BlockSpace, ConfigAnalysis, Configuration, IncrementalSearch,
-    PipelineSpace, SearchPlan,
+    PipelineSpace, SearchPlan, PARETO_SWEEP_THRESHOLD,
 };
 use incam_core::link::Link;
 use incam_core::pipeline::Source;
@@ -128,16 +128,19 @@ proptest! {
     }
 
     /// Pruned Pareto frontier == exhaustive Pareto frontier on random
-    /// regular spaces (same members, same order).
+    /// regular spaces (same members, same order), under several links
+    /// answered from one memoized frontier.
     #[test]
     fn plan_pareto_equals_exhaustive(
         blocks in prop::collection::vec(block_strategy(), 1..5),
-        rate in 1u32..2000,
+        rates in prop::collection::vec(1u32..2000, 1..5),
     ) {
         let space = make_space(&blocks, false);
         let plan = SearchPlan::new(&space);
-        let link = make_link(rate);
-        prop_assert_eq!(plan.pareto_frontier(&link), space.pareto_frontier(&link));
+        for &rate in &rates {
+            let link = make_link(rate);
+            prop_assert_eq!(plan.pareto_frontier(&link), space.pareto_frontier(&link));
+        }
     }
 
     /// Degenerate spaces (zero scales / zero fixed outputs, which
@@ -321,6 +324,42 @@ fn subtree_pruning_fires_on_deep_uniform_spaces() {
     let link = make_link(40);
     assert_eq!(plan.best(&link), space.best(&link));
     assert_eq!(plan.pareto_frontier(&link), space.pareto_frontier(&link));
+}
+
+#[test]
+fn plan_pareto_past_the_sweep_threshold_equals_exhaustive() {
+    // Equal throughputs, and per block an energy rising and an output
+    // scale falling with the binding index: no binding dominates a
+    // sibling, and the (energy, upload) trade-offs of the deepest cut
+    // leave a frontier wide enough for the filter's sort-then-sweep.
+    let mut space = PipelineSpace::new(
+        Source::new("s", Bytes::new(1_000_000.0), Fps::new(100.0))
+            .with_capture_energy(Joules::new(2e-6)),
+    );
+    for (b, weight) in [1.0, 2.7, 7.3, 19.1].into_iter().enumerate() {
+        space.push(BlockSpace::new(
+            BlockSpec::core(format!("b{b}"), DataTransform::Identity),
+            (0..5)
+                .map(|i| {
+                    let i = f64::from(i);
+                    Binding::new(Backend::Asic, Fps::new(50.0))
+                        .with_energy_per_frame(Joules::new(weight * i * 1e-6))
+                        .with_output(DataTransform::Scale(1.0 / (1.0 + i)))
+                })
+                .collect(),
+        ));
+    }
+    let plan = SearchPlan::new(&space);
+    assert!(
+        plan.frontier().len() > PARETO_SWEEP_THRESHOLD,
+        "frontier of {} points",
+        plan.frontier().len()
+    );
+    for rate in [1, 40, 1_000, 100_000, 1_000_000_000] {
+        let link = make_link(rate);
+        assert_eq!(plan.pareto_frontier(&link), space.pareto_frontier(&link));
+        assert_eq!(plan.best(&link), space.best(&link));
+    }
 }
 
 #[test]

@@ -166,6 +166,13 @@ impl QFormat {
     }
 }
 
+/// Largest bias code magnitude, `2^62`. A bias too large for an `i64`
+/// (±∞, or on the 8-bit datapath any |b| above ~7e16) saturates here
+/// rather than at `i64::MAX`: every dot product is at most
+/// fan-in × 2^30 in magnitude, so bias plus dot product stays inside an
+/// `i64` in the forward, its reference and the SNNAP PE accumulator.
+const BIAS_CODE_LIMIT: i64 = 1 << 62;
+
 /// One quantized layer: integer weights/biases plus their formats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLayer {
@@ -174,7 +181,7 @@ pub struct QuantizedLayer {
     /// Weight codes, row-major by neuron (at most 16 bits each).
     weights: Vec<i16>,
     /// Biases pre-scaled to the accumulator's fixed-point position
-    /// (`weight_frac + activation_frac`).
+    /// (`weight_frac + activation_frac`), clamped to ±[`BIAS_CODE_LIMIT`].
     biases: Vec<i64>,
     /// This layer's weight format (fitted per layer, as each PE's weight
     /// SRAM holds one layer's parameters).
@@ -270,7 +277,10 @@ impl QuantizedMlp {
                     biases: l
                         .biases()
                         .iter()
-                        .map(|&b| (b as f64 * (1i64 << bias_frac) as f64).round() as i64)
+                        .map(|&b| {
+                            let code = (b as f64 * (1i64 << bias_frac) as f64).round() as i64;
+                            code.clamp(-BIAS_CODE_LIMIT, BIAS_CODE_LIMIT)
+                        })
                         .collect(),
                     weight_format,
                     chunk: (i32::MAX as u64 / product) as usize,
@@ -570,6 +580,35 @@ mod tests {
                     fast.peak_accumulator_bits(),
                     reference.peak_accumulator_bits()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_biases_saturate_without_overflow() {
+        // a bias of ±inf saturates its code, and weights of the bias's
+        // sign push the dot product further the same way: the forward's
+        // `bias + dot` must stay inside an i64 (a panic under the test
+        // profile's overflow checks) and score at the bias's rail
+        let mut rng = StdRng::seed_from_u64(9);
+        let input = [1.0f32, 1.0];
+        let mut scratch = ForwardScratch::default();
+        for bits in [8, 16] {
+            for bias in [f32::INFINITY, f32::NEG_INFINITY] {
+                let mut net = Mlp::random(Topology::new(vec![2, 1]), &mut rng);
+                for layer in net.layers_mut() {
+                    layer.weights_mut().fill(0.5 * bias.signum());
+                    layer.biases_mut().fill(bias);
+                }
+                let fast = QuantizedMlp::from_mlp(&net, bits, Sigmoid::lut256());
+                let a = fast.forward_into(&input, &mut scratch)[0];
+                let b = fast.forward_reference(&input)[0];
+                assert_eq!(a.to_bits(), b.to_bits(), "{bits} bits, bias {bias}");
+                if bias > 0.0 {
+                    assert!(a >= 0.99, "{bits} bits: +inf bias scored {a}");
+                } else {
+                    assert!(a <= 0.01, "{bits} bits: -inf bias scored {a}");
+                }
             }
         }
     }

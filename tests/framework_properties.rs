@@ -136,7 +136,8 @@ proptest! {
         prop_assert_eq!(rows.len(), p.len() + 1);
         for (k, row) in rows.iter().enumerate() {
             prop_assert_eq!(&row.config, &Configuration::new(vec![0; p.len()], k));
-            prop_assert_eq!(&row.label, &cut_label(&p, k));
+            let prefix = p.stages()[..k].iter().map(|s| (s.spec().name(), s.backend()));
+            prop_assert_eq!(&row.label, &cut_label(prefix));
             prop_assert_eq!(row.compute, p.compute_fps_through(k));
             prop_assert_eq!(row.communication, link.upload_fps(p.data_after(k)));
             prop_assert_eq!(row.upload, p.data_after(k));
