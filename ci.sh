@@ -80,6 +80,13 @@ step "search equivalence oracle, deep sweep (4096 cases per property)"
 INCAM_PROPTEST_CASES=4096 INCAM_PROPTEST_SEED=27 \
     cargo test --release -q --offline -p incam-core --test search_equivalence
 
+step "fleet event-loop oracle, deep sweep (4096 cases)"
+# FleetSim::run counts the sensor fires that find a camera busy instead
+# of queuing them; only this proptest pins it to the event-per-fire
+# run_reference, and the test steps above run it at 64 cases.
+INCAM_PROPTEST_CASES=4096 INCAM_PROPTEST_SEED=28 \
+    cargo test --release -q --offline -p incam-fleet --test properties run_equals_reference
+
 step "fmt --check"
 cargo fmt --all --check
 

@@ -103,7 +103,8 @@ pub struct FleetReport {
     pub horizon_ticks: u64,
     /// Tick resolution: simulation ticks per second.
     pub ticks_per_sec: u64,
-    /// Capture events fired across the fleet.
+    /// Sensor fires across the fleet, whether they started a frame or
+    /// were skipped.
     pub frames_captured: u64,
     /// Captures skipped because the camera's frame buffer was still
     /// occupied by an unresolved frame.

@@ -89,7 +89,7 @@ impl Ingest {
         Self {
             config,
             occupancy: 0,
-            pending: Vec::with_capacity(config.batch),
+            pending: Vec::new(),
             epoch: 0,
         }
     }
@@ -105,6 +105,11 @@ impl Ingest {
             return Admission::Dropped;
         }
         self.occupancy += 1;
+        if self.pending.is_empty() {
+            // one allocation per batch: `cut_batch` hands the buffer out,
+            // and a buffer grown push by push would reallocate
+            self.pending.reserve_exact(self.config.batch);
+        }
         self.pending.push(camera);
         if self.pending.len() == self.config.batch {
             Admission::BatchReady {
@@ -183,6 +188,26 @@ mod tests {
         assert_eq!(start_flush, Some(1));
         assert_eq!(tier.flush(1), Some(vec![4]));
         assert_eq!(tier.flush(1), None, "nothing pending after the cut");
+    }
+
+    #[test]
+    fn every_batch_is_sized_by_its_first_frame() {
+        // 8 ids outgrow a vector's first growth step of 4, so a buffer
+        // grown push by push would reallocate within the batch
+        let mut tier = Ingest::new(IngestConfig {
+            capacity: 64,
+            batch: 8,
+            flush_ticks: 100,
+            service_ticks: 10,
+        });
+        for camera in 0..8 {
+            tier.offer(camera); // the eighth fills and cuts the batch
+        }
+        tier.offer(8);
+        assert!(tier.pending.capacity() >= 8, "after a full batch");
+        assert_eq!(tier.flush(1), Some(vec![8]));
+        tier.offer(9);
+        assert!(tier.pending.capacity() >= 8, "after a flush");
     }
 
     #[test]

@@ -24,9 +24,14 @@
 //! derives per-camera channel conditions from one seed via
 //! [`incam_faults::fleet::TracePool`], and re-selects cuts by re-ranking
 //! [`IncrementalSearch::over_held_cuts`](incam_core::explore::IncrementalSearch::over_held_cuts)
-//! — the same search as `vr::degrade`'s adaptive-cut policy. The
-//! result is a [`FleetReport`] of pure counters whose digest is
-//! byte-stable across runs, hosts, and `INCAM_THREADS` settings.
+//! — the same search as `vr::degrade`'s adaptive-cut policy. Only an
+//! idle camera queues its next sensor fire; the fires that find a camera
+//! busy are counted, not queued, so the loop's work follows the frames
+//! started rather than the fires
+//! ([`FleetSim::run_reference`](sim::FleetSim::run_reference) keeps one
+//! event per fire as the oracle). The result is a [`FleetReport`] of
+//! pure counters whose digest is byte-stable across runs, hosts, and
+//! `INCAM_THREADS` settings.
 //!
 //! ```
 //! use incam_fleet::{FleetConfig, FleetSim};

@@ -71,6 +71,13 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// An empty queue with room for `capacity` events.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            heap: BinaryHeap::with_capacity(capacity),
+        }
+    }
+
     /// Pushes an event under `key`. Keys must be unique (the simulator's
     /// per-actor counters guarantee this); duplicates would make pop
     /// order depend on heap internals.

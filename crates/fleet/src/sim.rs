@@ -13,13 +13,20 @@
 //!
 //! # Event model
 //!
-//! Per frame, O(1) events: `Capture` (sensor fires; skipped if the
-//! previous frame is unresolved) → `Admit` (in-camera compute done;
-//! reserve spectrum) → `TxDone` (slot over; retry, drop, or offer to
-//! ingest) → `Batch`/`Flush` (ingest services a batch; every member
-//! frame resolves). Spectrum contention is a conveyor reservation, not
-//! per-tick simulation, so wall-clock scales with fleet size, not with
-//! congestion depth.
+//! Per frame, O(1) events: `Capture` (a sensor fire finds the camera
+//! idle and starts a frame) → `Admit` (in-camera compute done; reserve
+//! spectrum) → `TxDone` (slot over; retry, drop, or offer to ingest) →
+//! `Batch`/`Flush` (ingest services a batch; every member frame
+//! resolves). A camera with a frame in flight queues no `Capture`: it
+//! holds the tick of its next sensor fire, and the fires that find it
+//! busy are counted as captured and skipped, not queued — in one
+//! division, when its own next event runs, when an ingest batch resolves
+//! it, or at the horizon. So the queue holds at most one event per
+//! camera besides the ingest tier's. Spectrum contention is a conveyor
+//! reservation, not per-tick simulation, so wall-clock scales with the
+//! frames started, not with sensor fires or congestion depth.
+//! [`FleetSim::run_reference`] keeps one `Capture` event per fire and is
+//! the oracle `run` is pinned to, report for report.
 //!
 //! # Determinism
 //!
@@ -240,6 +247,8 @@ struct Camera {
     tx_cursor: u64,
     /// Frames resolved so far (drives the re-search cadence).
     resolved: u64,
+    /// Tick of the next sensor fire not yet counted in the report.
+    next_fire: u64,
     /// Per-actor event sequence counter.
     seq: u64,
 }
@@ -296,260 +305,92 @@ impl FleetSim {
     }
 
     /// Runs the simulation to the horizon and returns the counters.
+    ///
+    /// Only an idle camera queues a `Capture`. A busy camera holds the
+    /// tick of its next sensor fire, and the fires that find it busy are
+    /// counted in bulk at the first of: its own next event, the ingest
+    /// batch that resolves it, or the horizon. Every other event runs in
+    /// [`FleetSim::run_reference`]'s order, so the two reports are equal.
     pub fn run(&self) -> FleetReport {
-        let cfg = &self.config;
-        let horizon = cfg.horizon_ticks();
-        let n = cfg.cameras;
-
-        let mut cameras: Vec<Camera> = (0..n)
-            .map(|id| {
-                let profile = (id % self.tables.len() as u64) as u32;
-                Camera {
-                    profile,
-                    cut: self.tables[profile as usize].profile.initial_cut as u32,
-                    ema: 1.0,
-                    busy: false,
-                    lost: false,
-                    attempts: 0,
-                    request_time: 0,
-                    payload: Bytes::ZERO,
-                    tx_cursor: 0,
-                    resolved: 0,
-                    seq: 0,
-                }
-            })
-            .collect();
-
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut spectrum = Spectrum::new(cfg.channels);
-        let mut ingest = Ingest::new(cfg.ingest);
-        let mut ingest_seq: u64 = 0;
-        let mut report = self.empty_report(horizon);
-
-        // stagger first captures across one period so the fleet does not
-        // fire in lockstep at t = 0
-        for id in 0..n {
-            let cam = &mut cameras[id as usize];
-            let period = self.tables[cam.profile as usize].capture_period;
-            let offset = camera_seed(cfg.seed, id) % period;
-            let seq = cam.seq;
-            cam.seq += 1;
-            queue.push(
-                EventKey {
-                    time: offset,
-                    actor: id,
-                    seq,
-                },
-                Ev::Capture,
-            );
-        }
-
-        while let Some(key) = queue.peek_key() {
-            if key.time >= horizon {
+        let mut run = Run::boot(self);
+        while let Some((key, ev)) = run.queue.pop() {
+            let (id, now) = (key.actor, key.time);
+            if now >= run.horizon {
                 break;
             }
-            let (key, ev) = queue.pop().expect("peeked"); // incam-lint: allow(fallible-unwrap) — guarded by the peek on the line above
-            let now = key.time;
             match ev {
                 Ev::Capture => {
-                    let id = key.actor;
-                    report.frames_captured += 1;
-                    let cam = &mut cameras[id as usize];
-                    let tables = &self.tables[cam.profile as usize];
-                    // next sensor fire, regardless of this frame's fate
-                    let seq = cam.seq;
-                    cam.seq += 1;
-                    queue.push(
-                        EventKey {
-                            time: now + tables.capture_period,
-                            actor: id,
-                            seq,
-                        },
-                        Ev::Capture,
-                    );
-                    if cam.busy {
-                        // previous frame unresolved: the in-flight cap
-                        // that keeps the feedback loop causal
-                        report.frames_skipped += 1;
-                    } else {
-                        cam.busy = true;
-                        cam.attempts = 0;
-                        cam.payload = tables.payload[cam.cut as usize];
-                        report.energy_compute += tables.compute_energy[cam.cut as usize];
-                        let seq = cam.seq;
-                        cam.seq += 1;
-                        queue.push(
-                            EventKey {
-                                time: now + tables.compute_ticks[cam.cut as usize],
-                                actor: id,
-                                seq,
-                            },
-                            Ev::Admit,
-                        );
-                    }
+                    run.fire(id, now);
+                    run.start_frame(id, now);
                 }
                 Ev::Admit => {
-                    let id = key.actor;
-                    report.frames_admitted += 1;
-                    cameras[id as usize].request_time = now;
-                    self.transmit(
-                        id,
-                        now,
-                        &mut cameras,
-                        &mut queue,
-                        &mut spectrum,
-                        &mut report,
-                    );
+                    run.skip_fires_before_own_event(id, now);
+                    run.admit(id, now);
                 }
                 Ev::TxDone => {
-                    let id = key.actor;
-                    let lost = cameras[id as usize].lost;
-                    if lost {
-                        if cameras[id as usize].attempts < cfg.max_attempts {
-                            report.link_retries += 1;
-                            self.transmit(
-                                id,
-                                now,
-                                &mut cameras,
-                                &mut queue,
-                                &mut spectrum,
-                                &mut report,
-                            );
-                        } else {
-                            report.frames_dropped_link += 1;
-                            self.resolve(id, now, &mut cameras, &mut report);
-                        }
-                    } else {
-                        match ingest.offer(id) {
-                            Admission::Dropped => {
-                                report.frames_dropped_ingest += 1;
-                                self.resolve(id, now, &mut cameras, &mut report);
-                            }
-                            Admission::Queued { start_flush } => {
-                                if let Some(epoch) = start_flush {
-                                    queue.push(
-                                        EventKey {
-                                            time: now + cfg.ingest.flush_ticks,
-                                            actor: EventKey::INGEST_ACTOR,
-                                            seq: ingest_seq,
-                                        },
-                                        Ev::Flush { epoch },
-                                    );
-                                    ingest_seq += 1;
-                                }
-                            }
-                            Admission::BatchReady { cameras: batch } => {
-                                queue.push(
-                                    EventKey {
-                                        time: now + cfg.ingest.service_ticks,
-                                        actor: EventKey::INGEST_ACTOR,
-                                        seq: ingest_seq,
-                                    },
-                                    Ev::Batch { cameras: batch },
-                                );
-                                ingest_seq += 1;
-                            }
-                        }
+                    run.skip_fires_before_own_event(id, now);
+                    if run.tx_done(id, now) {
+                        run.queue_next_fire(id);
                     }
                 }
-                Ev::Flush { epoch } => {
-                    if let Some(batch) = ingest.flush(epoch) {
-                        queue.push(
-                            EventKey {
-                                time: now + cfg.ingest.service_ticks,
-                                actor: EventKey::INGEST_ACTOR,
-                                seq: ingest_seq,
-                            },
-                            Ev::Batch { cameras: batch },
-                        );
-                        ingest_seq += 1;
-                    }
-                }
+                Ev::Flush { epoch } => run.flush(epoch, now),
                 Ev::Batch { cameras: batch } => {
-                    ingest.complete(batch.len() as u64);
-                    report.ingest_batches += 1;
+                    run.complete(batch.len());
                     for id in batch {
-                        report.frames_delivered += 1;
-                        self.resolve(id, now, &mut cameras, &mut report);
+                        // the ingest actor sorts after every camera, so a
+                        // fire at this tick ran first and found the frame
+                        // still in the batch
+                        run.skip_fires(id, now + 1);
+                        run.deliver(id, now);
+                        run.queue_next_fire(id);
                     }
                 }
             }
         }
-
-        report.frames_in_flight = cameras.iter().filter(|c| c.busy).count() as u64;
-        for cam in &cameras {
-            report.cut_histogram[cam.cut as usize] += 1;
+        for id in 0..self.config.cameras {
+            run.skip_fires(id, run.horizon);
         }
-        debug_assert!(report.conserves(), "frame conservation violated");
-        report
+        run.finish()
     }
 
-    /// Draws the next channel slot, reserves spectrum, and schedules the
-    /// transmission's completion.
-    fn transmit(
-        &self,
-        id: u64,
-        now: u64,
-        cameras: &mut [Camera],
-        queue: &mut EventQueue<Ev>,
-        spectrum: &mut Spectrum,
-        report: &mut FleetReport,
-    ) {
-        let cfg = &self.config;
-        let cam = &mut cameras[id as usize];
-        let tables = &self.tables[cam.profile as usize];
-        let slot = self.pool.assign(cfg.seed, id).slot(cam.tx_cursor);
-        cam.tx_cursor += 1;
-        cam.attempts += 1;
-        cam.lost = slot.lost;
-        let goodput = slot.goodput.max(MIN_SLOT_GOODPUT);
-        let rate = tables.profile.uplink.effective_rate().per_sec() * goodput;
-        let duration = secs_to_ticks(cam.payload.bytes() / rate, cfg.ticks_per_sec);
-        let grant = spectrum.reserve(now, duration);
-        report.energy_radio += tables.profile.uplink.upload_energy(cam.payload);
-        let seq = cam.seq;
-        cam.seq += 1;
-        queue.push(
-            EventKey {
-                time: grant.finish,
-                actor: id,
-                seq,
-            },
-            Ev::TxDone,
-        );
-    }
-
-    /// Resolves camera `id`'s in-flight frame at `now`: frees the
-    /// camera, folds the observed goodput into its EMA, and — on the
-    /// re-search cadence — re-selects the offload cut through
-    /// `core::explore`.
-    fn resolve(&self, id: u64, now: u64, cameras: &mut [Camera], report: &mut FleetReport) {
-        let cfg = &self.config;
-        let cam = &mut cameras[id as usize];
-        let tables = &self.tables[cam.profile as usize];
-        cam.busy = false;
-        cam.resolved += 1;
-
-        let elapsed_ticks = now.saturating_sub(cam.request_time).max(1);
-        let elapsed = elapsed_ticks as f64 / cfg.ticks_per_sec as f64;
-        let nominal = tables.profile.uplink.effective_rate().per_sec();
-        let observed =
-            ((cam.payload.bytes() / elapsed) / nominal).clamp(OBSERVED_CLAMP.0, OBSERVED_CLAMP.1);
-        cam.ema = cfg.ema_alpha * observed + (1.0 - cfg.ema_alpha) * cam.ema;
-        cam.ema = cam.ema.clamp(OBSERVED_CLAMP.0, OBSERVED_CLAMP.1);
-
-        if cam.resolved.is_multiple_of(cfg.re_search_every) {
-            report.re_searches += 1;
-            let best = tables
-                .held
-                .best(&tables.profile.uplink.degraded(cam.ema))
-                .expect("the held chain always contains cut 0"); // incam-lint: allow(fallible-unwrap) — over_held_cuts keeps at least the cut-0 point
-            let new_cut = best.config.cut() as u32;
-            if new_cut != cam.cut {
-                report.cut_changes += 1;
-                cam.cut = new_cut;
+    /// The event-per-fire loop: every sensor fire is a `Capture` event,
+    /// busy camera or not, so the queue holds every camera's next fire.
+    /// The correctness oracle for [`FleetSim::run`], which it matches
+    /// report for report, energy bits included.
+    pub fn run_reference(&self) -> FleetReport {
+        let mut run = Run::boot(self);
+        while let Some((key, ev)) = run.queue.pop() {
+            let (id, now) = (key.actor, key.time);
+            if now >= run.horizon {
+                break;
+            }
+            match ev {
+                Ev::Capture => {
+                    // next sensor fire, regardless of this frame's fate
+                    run.fire(id, now);
+                    run.queue_next_fire(id);
+                    if run.cameras[id as usize].busy {
+                        // previous frame unresolved: the in-flight cap
+                        // that keeps the feedback loop causal
+                        run.report.frames_skipped += 1;
+                    } else {
+                        run.start_frame(id, now);
+                    }
+                }
+                Ev::Admit => run.admit(id, now),
+                Ev::TxDone => {
+                    run.tx_done(id, now);
+                }
+                Ev::Flush { epoch } => run.flush(epoch, now),
+                Ev::Batch { cameras: batch } => {
+                    run.complete(batch.len());
+                    for id in batch {
+                        run.deliver(id, now);
+                    }
+                }
             }
         }
+        run.finish()
     }
 
     fn empty_report(&self, horizon: u64) -> FleetReport {
@@ -567,6 +408,275 @@ impl FleetSim {
             cut_histogram: vec![0; hist_len],
             ..Default::default()
         }
+    }
+}
+
+/// One run's mutable state: the cameras, the event queue and the shared
+/// resources they contend for. Both event loops drive it through the
+/// same methods, so they differ only in how sensor fires are scheduled.
+struct Run<'s> {
+    sim: &'s FleetSim,
+    horizon: u64,
+    cameras: Vec<Camera>,
+    queue: EventQueue<Ev>,
+    spectrum: Spectrum,
+    ingest: Ingest,
+    ingest_seq: u64,
+    report: FleetReport,
+}
+
+impl<'s> Run<'s> {
+    /// Every camera idle at its boot cut, with its first fire queued.
+    /// First fires are staggered across one period so the fleet does
+    /// not fire in lockstep at t = 0.
+    fn boot(sim: &'s FleetSim) -> Self {
+        let cfg = &sim.config;
+        let horizon = cfg.horizon_ticks();
+        let cameras: Vec<Camera> = (0..cfg.cameras)
+            .map(|id| {
+                let profile = (id % sim.tables.len() as u64) as u32;
+                let tables = &sim.tables[profile as usize];
+                Camera {
+                    profile,
+                    cut: tables.profile.initial_cut as u32,
+                    ema: 1.0,
+                    busy: false,
+                    lost: false,
+                    attempts: 0,
+                    request_time: 0,
+                    payload: Bytes::ZERO,
+                    tx_cursor: 0,
+                    resolved: 0,
+                    next_fire: camera_seed(cfg.seed, id) % tables.capture_period,
+                    seq: 0,
+                }
+            })
+            .collect();
+        let mut run = Self {
+            sim,
+            horizon,
+            // `run` queues at most one event per camera besides the
+            // ingest tier's
+            queue: EventQueue::with_capacity(cameras.len()),
+            cameras,
+            spectrum: Spectrum::new(cfg.channels),
+            ingest: Ingest::new(cfg.ingest),
+            ingest_seq: 0,
+            report: sim.empty_report(horizon),
+        };
+        for id in 0..cfg.cameras {
+            run.queue_next_fire(id);
+        }
+        run
+    }
+
+    /// Queues camera `id`'s event under its next per-actor sequence
+    /// number.
+    fn push(&mut self, id: u64, time: u64, ev: Ev) {
+        let cam = &mut self.cameras[id as usize];
+        let seq = cam.seq;
+        cam.seq += 1;
+        self.queue.push(
+            EventKey {
+                time,
+                actor: id,
+                seq,
+            },
+            ev,
+        );
+    }
+
+    /// Queues an ingest-tier event `delay` ticks after `now`.
+    fn push_ingest(&mut self, now: u64, delay: u64, ev: Ev) {
+        self.queue.push(
+            EventKey {
+                time: now.saturating_add(delay),
+                actor: EventKey::INGEST_ACTOR,
+                seq: self.ingest_seq,
+            },
+            ev,
+        );
+        self.ingest_seq += 1;
+    }
+
+    /// Queues camera `id`'s next sensor fire as a `Capture` event.
+    fn queue_next_fire(&mut self, id: u64) {
+        let time = self.cameras[id as usize].next_fire;
+        self.push(id, time, Ev::Capture);
+    }
+
+    /// Camera `id`'s sensor fires at `now`: one more frame captured, and
+    /// the next fire is one period on.
+    fn fire(&mut self, id: u64, now: u64) {
+        let cam = &mut self.cameras[id as usize];
+        let period = self.sim.tables[cam.profile as usize].capture_period;
+        cam.next_fire = now.saturating_add(period);
+        self.report.frames_captured += 1;
+    }
+
+    /// Counts camera `id`'s sensor fires before tick `end` as captured
+    /// and skipped — they found the camera busy — in one division.
+    fn skip_fires(&mut self, id: u64, end: u64) {
+        let cam = &mut self.cameras[id as usize];
+        if cam.next_fire >= end {
+            return;
+        }
+        let period = self.sim.tables[cam.profile as usize].capture_period;
+        let fires = (end - 1 - cam.next_fire) / period + 1;
+        cam.next_fire = cam.next_fire.saturating_add(fires.saturating_mul(period));
+        self.report.frames_captured += fires;
+        self.report.frames_skipped += fires;
+    }
+
+    /// Camera `id`'s in-flight `Admit` or `TxDone` runs at `now`: counts
+    /// the fires that run before it at [`FleetSim::run_reference`], where
+    /// same-tick events of one camera run in the order they were queued.
+    /// `next_fire` does not move while the event is in flight, so it
+    /// still holds the fire that was due when the event was queued. That
+    /// fire's `Capture` was queued first, so if it falls at `now` it runs
+    /// first; a later fire at `now` was queued after the event and runs
+    /// after it.
+    fn skip_fires_before_own_event(&mut self, id: u64, now: u64) {
+        let due = self.cameras[id as usize].next_fire;
+        self.skip_fires(id, if due == now { now + 1 } else { now });
+    }
+
+    /// A sensor fire at `now` finds camera `id` idle: starts a frame at
+    /// the current cut and queues its `Admit` after the in-camera
+    /// latency.
+    fn start_frame(&mut self, id: u64, now: u64) {
+        let cam = &mut self.cameras[id as usize];
+        let tables = &self.sim.tables[cam.profile as usize];
+        debug_assert!(!cam.busy, "a frame started on a busy camera");
+        cam.busy = true;
+        cam.attempts = 0;
+        cam.payload = tables.payload[cam.cut as usize];
+        self.report.energy_compute += tables.compute_energy[cam.cut as usize];
+        let admit = now.saturating_add(tables.compute_ticks[cam.cut as usize]);
+        self.push(id, admit, Ev::Admit);
+    }
+
+    /// In-camera compute is done: the frame requests the uplink.
+    fn admit(&mut self, id: u64, now: u64) {
+        self.report.frames_admitted += 1;
+        self.cameras[id as usize].request_time = now;
+        self.transmit(id, now);
+    }
+
+    /// Draws the next channel slot, reserves spectrum, and schedules the
+    /// transmission's completion.
+    fn transmit(&mut self, id: u64, now: u64) {
+        let sim = self.sim;
+        let cam = &mut self.cameras[id as usize];
+        let tables = &sim.tables[cam.profile as usize];
+        let slot = sim.pool.assign(sim.config.seed, id).slot(cam.tx_cursor);
+        cam.tx_cursor += 1;
+        cam.attempts += 1;
+        cam.lost = slot.lost;
+        let goodput = slot.goodput.max(MIN_SLOT_GOODPUT);
+        let rate = tables.profile.uplink.effective_rate().per_sec() * goodput;
+        let duration = secs_to_ticks(cam.payload.bytes() / rate, sim.config.ticks_per_sec);
+        let grant = self.spectrum.reserve(now, duration);
+        self.report.energy_radio += tables.profile.uplink.upload_energy(cam.payload);
+        self.push(id, grant.finish, Ev::TxDone);
+    }
+
+    /// A transmission slot is over: retry, drop on the link, or offer
+    /// the frame to ingest. Returns `true` when the frame resolved here
+    /// and camera `id` is idle again.
+    fn tx_done(&mut self, id: u64, now: u64) -> bool {
+        let sim = self.sim;
+        let cfg = &sim.config;
+        if self.cameras[id as usize].lost {
+            if self.cameras[id as usize].attempts < cfg.max_attempts {
+                self.report.link_retries += 1;
+                self.transmit(id, now);
+                return false;
+            }
+            self.report.frames_dropped_link += 1;
+            self.resolve(id, now);
+            return true;
+        }
+        match self.ingest.offer(id) {
+            Admission::Dropped => {
+                self.report.frames_dropped_ingest += 1;
+                self.resolve(id, now);
+                return true;
+            }
+            Admission::Queued { start_flush } => {
+                if let Some(epoch) = start_flush {
+                    self.push_ingest(now, cfg.ingest.flush_ticks, Ev::Flush { epoch });
+                }
+            }
+            Admission::BatchReady { cameras: batch } => {
+                self.push_ingest(now, cfg.ingest.service_ticks, Ev::Batch { cameras: batch });
+            }
+        }
+        false
+    }
+
+    /// A flush timer fires: a still-current partial batch goes to
+    /// service.
+    fn flush(&mut self, epoch: u64, now: u64) {
+        if let Some(batch) = self.ingest.flush(epoch) {
+            let service = self.sim.config.ingest.service_ticks;
+            self.push_ingest(now, service, Ev::Batch { cameras: batch });
+        }
+    }
+
+    /// A serviced batch of `frames` frames leaves the ingest tier.
+    fn complete(&mut self, frames: usize) {
+        self.ingest.complete(frames as u64);
+        self.report.ingest_batches += 1;
+    }
+
+    /// Camera `id`'s frame is delivered by a completed batch.
+    fn deliver(&mut self, id: u64, now: u64) {
+        self.report.frames_delivered += 1;
+        self.resolve(id, now);
+    }
+
+    /// Resolves camera `id`'s in-flight frame at `now`: frees the
+    /// camera, folds the observed goodput into its EMA, and — on the
+    /// re-search cadence — re-selects the offload cut through
+    /// `core::explore`.
+    fn resolve(&mut self, id: u64, now: u64) {
+        let cfg = &self.sim.config;
+        let cam = &mut self.cameras[id as usize];
+        let tables = &self.sim.tables[cam.profile as usize];
+        cam.busy = false;
+        cam.resolved += 1;
+
+        let elapsed_ticks = now.saturating_sub(cam.request_time).max(1);
+        let elapsed = elapsed_ticks as f64 / cfg.ticks_per_sec as f64;
+        let nominal = tables.profile.uplink.effective_rate().per_sec();
+        let observed =
+            ((cam.payload.bytes() / elapsed) / nominal).clamp(OBSERVED_CLAMP.0, OBSERVED_CLAMP.1);
+        cam.ema = cfg.ema_alpha * observed + (1.0 - cfg.ema_alpha) * cam.ema;
+        cam.ema = cam.ema.clamp(OBSERVED_CLAMP.0, OBSERVED_CLAMP.1);
+
+        if cam.resolved.is_multiple_of(cfg.re_search_every) {
+            self.report.re_searches += 1;
+            let best = tables
+                .held
+                .best(&tables.profile.uplink.degraded(cam.ema))
+                .expect("the held chain always contains cut 0"); // incam-lint: allow(fallible-unwrap) — over_held_cuts keeps at least the cut-0 point
+            let new_cut = best.config.cut() as u32;
+            if new_cut != cam.cut {
+                self.report.cut_changes += 1;
+                cam.cut = new_cut;
+            }
+        }
+    }
+
+    /// The horizon report: frames still in flight and the final cuts.
+    fn finish(mut self) -> FleetReport {
+        self.report.frames_in_flight = self.cameras.iter().filter(|c| c.busy).count() as u64;
+        for cam in &self.cameras {
+            self.report.cut_histogram[cam.cut as usize] += 1;
+        }
+        debug_assert!(self.report.conserves(), "frame conservation violated");
+        self.report
     }
 }
 
@@ -706,6 +816,116 @@ mod tests {
         // 10 cameras × 2 FPS × 5 s = 100 sensor fires, ±1 per camera of
         // stagger
         assert!(r.frames_captured >= 90 && r.frames_captured <= 110);
+    }
+
+    /// A one-block camera that fires once a second and sends its
+    /// 1000-byte frames over a `uplink` B/s link; its block runs at
+    /// `block_fps`.
+    fn tie_profile(block_fps: f64, uplink: f64, initial_cut: usize) -> CameraProfile {
+        let space = PipelineSpace::new(Source::new("s", Bytes::new(1000.0), Fps::new(1.0)))
+            .with_block(BlockSpace::new(
+                BlockSpec::core("pass", DataTransform::Identity),
+                vec![Binding::new(Backend::Asic, Fps::new(block_fps))],
+            ));
+        CameraProfile {
+            name: "tie".to_string(),
+            space,
+            committed: vec![0],
+            initial_cut,
+            capture: Fps::new(1.0),
+            uplink: Link::new("tie-uplink", BytesPerSec::new(uplink), 1.0),
+        }
+    }
+
+    /// One camera at 10 ticks per second, so its sensor fires one period
+    /// of 10 ticks apart, over a 30-period horizon: every transmission
+    /// is lost when `lossy`, frames get one attempt and batches of one,
+    /// and the cut never moves from where it booted.
+    fn tie_config(lossy: bool) -> FleetConfig {
+        let mut cfg = FleetConfig::canonical("tie", 2017, 1);
+        cfg.ticks_per_sec = 10;
+        cfg.horizon = Seconds::new(30.0);
+        cfg.channel_model = GilbertElliott::uniform(if lossy { 1.0 } else { 0.0 });
+        cfg.pool_traces = 1;
+        cfg.pool_slots = 64;
+        cfg.max_attempts = 1;
+        cfg.ingest.batch = 1;
+        cfg.ingest.service_ticks = 5;
+        cfg.re_search_every = u64::MAX;
+        cfg
+    }
+
+    /// Runs both event loops, checks they agree, and returns the report.
+    fn run_both(cfg: FleetConfig, profile: CameraProfile) -> FleetReport {
+        let sim = FleetSim::new(cfg, vec![profile]);
+        let report = sim.run();
+        assert_eq!(report, sim.run_reference());
+        assert!(report.conserves(), "{report:?}");
+        report
+    }
+
+    #[test]
+    fn a_fire_due_when_the_event_was_queued_runs_first() {
+        // compute and air time are one period each: the Admit lands on
+        // the fire queued before it, and the TxDone, queued after that
+        // fire ran, on the next one. Both fires run first and are
+        // skipped, so the lost frame frees the camera one fire too late
+        // to start another: one frame per three periods.
+        let r = run_both(tie_config(true), tie_profile(1.0, 1000.0, 1));
+        assert_eq!(r.frames_captured, 30);
+        assert_eq!(r.frames_admitted, 10, "{r:?}");
+        assert_eq!(r.frames_skipped, 20);
+        assert_eq!(r.frames_dropped_link, 10);
+    }
+
+    #[test]
+    fn a_fire_queued_after_the_event_runs_after_it() {
+        // compute takes two periods: the Admit was queued before the fire
+        // at its tick and runs first. The TxDone lands one period later,
+        // again ahead of that tick's fire, so the camera is free when the
+        // fire runs: one frame per three periods, the last in flight.
+        let r = run_both(tie_config(true), tie_profile(0.5, 1000.0, 1));
+        assert_eq!(r.frames_captured, 30);
+        assert_eq!(r.frames_admitted, 10, "{r:?}");
+        assert_eq!(r.frames_skipped, 20);
+        assert_eq!(r.frames_dropped_link, 9);
+        assert_eq!(r.frames_in_flight, 1);
+    }
+
+    #[test]
+    fn an_ingest_batch_resolves_after_the_fire_at_its_tick() {
+        // raw offload: half a period on the air and half in ingest
+        // service, so the batch lands on the next fire. The ingest actor
+        // sorts after every camera, so that fire finds the frame still in
+        // the batch: one delivered frame per two periods.
+        let r = run_both(tie_config(false), tie_profile(1.0, 2000.0, 0));
+        assert_eq!(r.frames_captured, 30);
+        assert_eq!(r.frames_delivered, 15, "{r:?}");
+        assert_eq!(r.frames_skipped, 15);
+        assert_eq!(r.ingest_batches, 15);
+    }
+
+    #[test]
+    fn event_times_saturate_instead_of_wrapping() {
+        // a block at 1e-14 FPS needs more than u64::MAX microsecond
+        // ticks: its Admit saturates past every horizon, so no frame of
+        // the 4 cameras booted behind it is ever admitted
+        let mut cfg = toy_config(4);
+        cfg.horizon = Seconds::new(3.0);
+        let r = run_both(cfg, tie_profile(1e-14, 1000.0, 1));
+        assert_eq!(r.frames_captured, 12);
+        assert_eq!(r.frames_admitted, 0, "{r:?}");
+        assert_eq!(r.frames_in_flight, 4);
+
+        // a capture period past u64::MAX ticks: the next fire saturates
+        // at the horizon, so the run returns after one fire per camera
+        let mut slow = toy_profile();
+        slow.capture = Fps::new(1e-14);
+        let mut cfg = toy_config(4);
+        cfg.horizon = Seconds::new(1e15);
+        let r = run_both(cfg, slow);
+        assert_eq!(r.horizon_ticks, u64::MAX);
+        assert_eq!(r.frames_captured, 4, "{r:?}");
     }
 
     #[test]
